@@ -44,19 +44,6 @@ std::pair<Fd, std::uint16_t> listen_loopback() {
   return {std::move(fd), ntohs(addr.sin_port)};
 }
 
-Fd connect_loopback(std::uint16_t port) {
-  Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  IBC_REQUIRE(fd.valid());
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  IBC_REQUIRE_MSG(::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
-                            sizeof addr) == 0,
-                  "loopback connect failed");
-  return fd;
-}
-
 Fd try_connect_loopback(std::uint16_t port) {
   Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
   IBC_REQUIRE(fd.valid());
@@ -71,18 +58,26 @@ Fd try_connect_loopback(std::uint16_t port) {
   return fd;
 }
 
+Fd connect_loopback(std::uint16_t port) {
+  Fd fd = try_connect_loopback(port);
+  IBC_REQUIRE_MSG(fd.valid(), "loopback connect failed");
+  return fd;
+}
+
 DialResult dial_loopback_hello(
-    std::uint16_t port, std::uint32_t hello,
+    const PortResolver& resolve, std::uint32_t hello,
     std::chrono::steady_clock::time_point deadline) {
   DialResult result;
   std::uint64_t jitter_state =
-      static_cast<std::uint64_t>(port) ^
+      (static_cast<std::uint64_t>(hello) << 32) ^
       static_cast<std::uint64_t>(
           std::chrono::steady_clock::now().time_since_epoch().count());
   std::int64_t backoff_us = 2000;
   while (true) {
+    const std::optional<std::uint16_t> port = resolve();
+    if (!port) return result;  // unpublished: the peer is dead
     ++result.attempts;
-    Fd fd = try_connect_loopback(port);
+    Fd fd = try_connect_loopback(*port);
     if (fd.valid()) {
       if (::write(fd.get(), &hello, sizeof hello) == sizeof hello) {
         result.fd = std::move(fd);

@@ -3,6 +3,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <utility>
 
 namespace ibc::net::tcp {
@@ -37,34 +39,41 @@ class Fd {
 /// returns the socket and the chosen port.
 std::pair<Fd, std::uint16_t> listen_loopback();
 
-/// Blocking connect to 127.0.0.1:port.
-Fd connect_loopback(std::uint16_t port);
-
 /// Blocking connect to 127.0.0.1:port that reports failure instead of
 /// aborting: returns an invalid Fd when the dial fails (connection
-/// refused, etc.). Used by multi-process discovery retry loops, where a
-/// peer that has not bound yet — or is genuinely dead — is an expected
-/// outcome, not a bug.
+/// refused, etc.). A peer that has not bound yet — or is genuinely dead —
+/// is an expected outcome for a dialer, not a bug.
 Fd try_connect_loopback(std::uint16_t port);
+
+/// Blocking connect to 127.0.0.1:port; aborts if it fails.
+Fd connect_loopback(std::uint16_t port);
 
 /// Blocking accept.
 Fd accept_one(const Fd& listener);
 
 /// Result of a bounded-backoff dial: the connected socket (invalid if
-/// the deadline passed first) and how many attempts were spent — the
-/// caller logs the count so retry behavior is observable post-mortem.
+/// the deadline passed first or the peer's port went unpublished) and
+/// how many connect attempts were spent — the caller logs the count so
+/// retry behavior is observable post-mortem.
 struct DialResult {
   Fd fd;
   int attempts = 0;
 };
 
-/// Dials 127.0.0.1:port and writes the 4-byte mesh hello, retrying with
-/// capped exponential backoff (2 ms doubling to 250 ms, ±50% jitter)
-/// until `deadline`. The jitter keeps a herd of simultaneously
-/// restarted ranks from re-dialing each other in lockstep; its stream
-/// is seeded off the port and the clock — dial pacing is wall-clock
-/// territory, determinism is not at stake here.
-DialResult dial_loopback_hello(std::uint16_t port, std::uint32_t hello,
+/// Where a dialer finds the peer's current listen port. nullopt means
+/// the peer has no published port (it is dead): the dial gives up.
+using PortResolver = std::function<std::optional<std::uint16_t>()>;
+
+/// Dials the port `resolve` names on 127.0.0.1 and writes the 4-byte
+/// mesh hello, retrying with capped exponential backoff (2 ms doubling
+/// to 250 ms, ±50% jitter) until `deadline`. The port is resolved again
+/// on every attempt, so a relaunched peer's fresh port is picked up
+/// mid-retry instead of hammering its dead one. The jitter keeps a herd
+/// of simultaneously restarted ranks from re-dialing each other in
+/// lockstep; its stream is seeded off the hello and the clock — dial
+/// pacing is wall-clock territory, determinism is not at stake here.
+DialResult dial_loopback_hello(const PortResolver& resolve,
+                               std::uint32_t hello,
                                std::chrono::steady_clock::time_point deadline);
 
 /// Reads exactly `len` bytes from a blocking socket, giving up after

@@ -1,5 +1,6 @@
 #include "net/tcp/tcp_process.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -17,65 +18,68 @@ namespace ibc::net::tcp {
 
 namespace {
 
-TimePoint steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 constexpr auto kPollInterval = std::chrono::milliseconds(5);
 
 }  // namespace
 
-TcpProcess::TcpProcess(ProcessId self, std::uint32_t n, std::uint64_t seed)
-    : self_(self), n_(n), epoch_ns_(steady_ns()) {
+TcpProcess::TcpProcess(ProcessId self, std::uint32_t n, std::uint64_t seed,
+                       TimePoint epoch_ns)
+    : self_(self),
+      n_(n),
+      epoch_ns_(epoch_ns),
+      env_(self, n, Rng(seed).fork("tcp-process", self), epoch_ns) {
   IBC_REQUIRE(n >= 1 && self >= 1 && self <= n);
-  const Rng root(seed);
-  env_ = std::make_unique<TcpEnv>(self, n, root.fork("tcp-process", self),
-                                  epoch_ns_);
-  env_->messages_ctr_ = &messages_sent_;
-  env_->wire_bytes_ctr_ = &wire_bytes_sent_;
-  env_->frames_ctr_ = &frames_sent_;
-  env_->writev_ctr_ = &writev_calls_;
-  env_->wakeups_ctr_ = &wakeups_;
-  env_->dropped_fault_ctr_ = &dropped_fault_;
-  env_->duplicated_fault_ctr_ = &duplicated_fault_;
-  env_->delayed_fault_ctr_ = &delayed_fault_;
 }
 
 TcpProcess::~TcpProcess() { shutdown(); }
 
 runtime::Env& TcpProcess::env(ProcessId p) {
   IBC_REQUIRE_MSG(p == self_, "TcpProcess only hosts its own rank");
-  return *env_;
+  return env_;
 }
 
 TimePoint TcpProcess::now() const { return steady_ns() - epoch_ns_; }
 
 std::uint16_t TcpProcess::bind_listener() {
   auto [listener, port] = listen_loopback();
-  env_->adopt_listener(std::move(listener));
+  env_.adopt_listener(std::move(listener));
   return port;
 }
 
-void TcpProcess::connect_peer(ProcessId peer, Fd fd) {
-  env_->install_peer(peer, std::move(fd));
+std::optional<int> TcpProcess::dial(
+    ProcessId q, const PortResolver& resolve,
+    std::chrono::steady_clock::time_point deadline) {
+  DialResult result = dial_loopback_hello(resolve, self_, deadline);
+  if (!result.fd.valid()) return std::nullopt;
+  env_.install_peer(q, std::move(result.fd));
+  return result.attempts;
 }
 
+void TcpProcess::accept_link(ProcessId dialer) { env_.accept_link(dialer); }
+
 void TcpProcess::start() {
-  const std::scoped_lock lock(state_mu_);
-  IBC_REQUIRE_MSG(!started_ && !shut_down_, "start() is one-shot");
-  started_ = true;
-  env_->start_thread();
+  {
+    // Flipped before the thread exists: a concurrent run_on queues its
+    // task for the reactor instead of running it inline beside it.
+    const std::scoped_lock lock(state_mu_);
+    IBC_REQUIRE_MSG(!running_ && !shut_down_,
+                    "start() with the reactor running or after shutdown");
+    running_ = true;
+    killed_ = false;
+    kill_started_ = false;
+  }
+  env_.start_thread();
 }
 
 void TcpProcess::shutdown() {
   {
     const std::scoped_lock lock(state_mu_);
     if (shut_down_) return;
-    shut_down_ = true;
   }
-  env_->request_stop();
+  env_.request_stop();
+  const std::scoped_lock lock(state_mu_);
+  shut_down_ = true;
+  running_ = false;
 }
 
 std::size_t TcpProcess::run_for(Duration d) {
@@ -85,17 +89,22 @@ std::size_t TcpProcess::run_for(Duration d) {
 
 void TcpProcess::run_on(ProcessId p, std::function<void()> fn) {
   IBC_REQUIRE_MSG(p == self_, "TcpProcess only hosts its own rank");
-  if (env_->reactor_tid_.load() == std::this_thread::get_id()) {
-    fn();  // already on the reactor: deferring would deadlock
+  if (env_.on_reactor()) {
+    // Already on the reactor (e.g. abroadcast from inside a delivery
+    // callback): deferring and blocking would deadlock; run directly.
+    fn();
     return;
   }
+  bool run_inline = false;
   {
     const std::scoped_lock lock(state_mu_);
-    if (shut_down_ || !started_) {
-      // No reactor running: inline execution is race-free.
-      fn();
-      return;
-    }
+    if (killed_) return;
+    run_inline = !running_;
+  }
+  if (run_inline) {
+    // No reactor thread: inline execution is race-free.
+    fn();
+    return;
   }
   struct DoneGate {
     std::mutex mu;
@@ -103,8 +112,13 @@ void TcpProcess::run_on(ProcessId p, std::function<void()> fn) {
     bool done = false;
     bool abandoned = false;
   };
+  // Shared: if the rank dies before running the task, the closure (and
+  // gate) must outlive this frame. The reactor runs `fn` while holding
+  // gate->mu, so the abandon decision below is serialized against the
+  // task: once we mark it abandoned, `fn` (whose captures may reference
+  // this frame) can no longer start.
   auto gate = std::make_shared<DoneGate>();
-  env_->defer([fn = std::move(fn), gate] {
+  env_.defer([fn = std::move(fn), gate] {
     std::unique_lock lock(gate->mu);
     if (gate->abandoned) return;
     fn();
@@ -114,70 +128,93 @@ void TcpProcess::run_on(ProcessId p, std::function<void()> fn) {
   });
   std::unique_lock lock(gate->mu);
   while (!gate->done) {
+    // Re-check liveness periodically: a concurrent crash or shutdown
+    // stops the reactor and the task would otherwise never complete.
     gate->cv.wait_for(lock, std::chrono::milliseconds(20));
     if (gate->done) break;
     const std::scoped_lock state_lock(state_mu_);
-    if (shut_down_) {
+    if (killed_ || !running_) {
       gate->abandoned = true;
       return;
     }
   }
 }
 
-void TcpProcess::crash(ProcessId) {
-  IBC_REQUIRE_MSG(false, "TcpProcess cannot crash ranks: kill the OS process");
+void TcpProcess::crash(ProcessId p) {
+  IBC_REQUIRE_MSG(p == self_, "TcpProcess only hosts its own rank");
+  {
+    const std::scoped_lock lock(state_mu_);
+    if (kill_started_) return;  // serializes concurrent request_stop
+    kill_started_ = true;
+  }
+  env_.request_stop();
+  const std::scoped_lock lock(state_mu_);
+  killed_ = true;
+  running_ = false;
+}
+
+void TcpProcess::restart(ProcessId p) {
+  IBC_REQUIRE_MSG(p == self_, "TcpProcess only hosts its own rank");
+  {
+    const std::scoped_lock lock(state_mu_);
+    IBC_REQUIRE_MSG(killed_, "restart of a process that is alive");
+    IBC_REQUIRE_MSG(!shut_down_, "restart after shutdown");
+  }
+  env_.reset_for_restart();
+}
+
+void TcpProcess::resume(ProcessId p) {
+  IBC_REQUIRE_MSG(p == self_, "TcpProcess only hosts its own rank");
+  start();
 }
 
 void TcpProcess::crash_at(TimePoint, ProcessId) {
-  IBC_REQUIRE_MSG(false, "TcpProcess cannot crash ranks: kill the OS process");
-}
-
-void TcpProcess::restart(ProcessId) {
-  IBC_REQUIRE_MSG(false,
-                  "TcpProcess cannot restart ranks: relaunch the OS process");
-}
-
-void TcpProcess::resume(ProcessId) {
-  IBC_REQUIRE_MSG(false,
-                  "TcpProcess cannot restart ranks: relaunch the OS process");
+  IBC_REQUIRE_MSG(false, "TcpProcess has no scheduler: kill the OS process");
 }
 
 void TcpProcess::run_at(TimePoint, std::function<void()>) {
-  IBC_REQUIRE_MSG(false, "TcpProcess has no cross-rank scheduler");
+  IBC_REQUIRE_MSG(false, "TcpProcess has no scheduler");
 }
 
 bool TcpProcess::crashed(ProcessId p) const {
   IBC_REQUIRE_MSG(p == self_,
                   "TcpProcess cannot observe remote liveness; ask the FD");
-  return false;
+  const std::scoped_lock lock(state_mu_);
+  return killed_;
 }
 
-runtime::HostCounters TcpProcess::counters() const {
-  runtime::HostCounters counters{
-      messages_sent_.load(std::memory_order_relaxed),
-      wire_bytes_sent_.load(std::memory_order_relaxed),
-      frames_sent_.load(std::memory_order_relaxed),
-      writev_calls_.load(std::memory_order_relaxed),
-      wakeups_.load(std::memory_order_relaxed)};
-  counters.dropped_fault = dropped_fault_.load(std::memory_order_relaxed);
-  counters.duplicated_fault =
-      duplicated_fault_.load(std::memory_order_relaxed);
-  counters.delayed_fault = delayed_fault_.load(std::memory_order_relaxed);
-  return counters;
+void TcpProcess::arm_fault_plan(const FaultPlan& plan, TimePoint origin) {
+  // The reactor owns the fault stage: run_on installs it there, or inline
+  // while no reactor runs.
+  run_on(self_, [this, &plan, origin] { env_.set_fault_plan(plan, origin); });
 }
 
-void TcpProcess::arm_fault_plan(const FaultPlan& plan) {
-  bool reactor_live;
-  {
-    const std::scoped_lock lock(state_mu_);
-    reactor_live = started_ && !shut_down_;
-  }
-  if (!reactor_live) {
-    env_->set_fault_plan(plan, env_->now());
-    return;
-  }
-  // The reactor owns the fault stage; hand the installation to it.
-  run_on(self_, [this, plan] { env_->set_fault_plan(plan, env_->now()); });
+void TcpProcess::write_raw_for_test(ProcessId dst, const Bytes& bytes) {
+  IBC_REQUIRE(dst >= 1 && dst <= n_ && dst != self_);
+  // run_on blocks until the closure ran, so capturing by reference is
+  // safe and the caller observes a completed write.
+  run_on(self_, [this, dst, &bytes] {
+    TcpEnv::Peer& peer = env_.peers_[dst];
+    IBC_REQUIRE_MSG(peer.open && !peer.has_backlog(),
+                    "raw writes need an open, idle link");
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t wrote =
+          ::send(peer.fd.get(), bytes.data() + off, bytes.size() - off,
+                 MSG_NOSIGNAL);
+      if (wrote < 0 &&
+          (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+        continue;  // test writes are tiny; spinning is fine
+      }
+      IBC_REQUIRE(wrote > 0);
+      off += static_cast<std::size_t>(wrote);
+    }
+  });
+}
+
+void TcpProcess::close_link_for_test(ProcessId dst) {
+  IBC_REQUIRE(dst >= 1 && dst <= n_ && dst != self_);
+  run_on(self_, [this, dst] { env_.peers_[dst].close(); });
 }
 
 // ---- File-based multi-process coordination -------------------------------

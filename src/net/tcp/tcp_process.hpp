@@ -1,41 +1,48 @@
-// Single-rank TCP host for true multi-process deployment.
+// One TCP rank: the only rank type of the TCP host.
 //
-// `TcpCluster` hosts all n ranks inside one OS process — useful, but the
-// allocator, the clock, and the crash model are shared, so kill -9 has
-// never been real. `TcpProcess` hosts exactly ONE rank: the `ibcd`
-// daemon (tools/ibcd.cpp) builds a `ProcessStack` on it, n daemons form
-// a mesh of genuine inter-process TCP connections, and a SIGKILL is a
-// genuine crash-stop fault (DSN'06 §2) — volatile state dies with the
-// process, only the on-disk store survives.
+// A `TcpProcess` owns one `TcpEnv` (its reactor, listener and links) and
+// hosts one rank's protocol stack. It is deployed two ways:
+//   * `ibcd` (tools/ibcd.cpp) runs one per OS process, so a SIGKILL is a
+//     genuine crash-stop fault (DSN'06 §2): volatile state dies with the
+//     process, only the on-disk store survives. Ranks find each other's
+//     ports through port files in a shared scratch directory.
+//   * `TcpCluster` (tcp_cluster.hpp) runs n of them in one OS process
+//     with one shared epoch and an in-memory port table, and kills and
+//     restarts them in place.
 //
-// Wiring protocol (shared with the multiprocess test fixture):
+// Wiring rule (the same on both; only the port source differs):
 //   1. bind_listener() binds 127.0.0.1 port 0 (never a hard-coded port;
 //      `ctest -j` can run many clusters concurrently) and returns the
-//      kernel-assigned port.
-//   2. The rank publishes `port.<rank>` into a shared scratch directory
-//      (publish_port: write a temp file, then rename — readers never see
-//      a partial write) and polls until all n ports are present
-//      (wait_for_ports).
-//   3. First boot: rank p dials every q < p, sending a 4-byte hello
-//      (p's rank) — each pair gets exactly one connection; the higher
-//      rank's reactor accepts and identifies the dialer by the hello.
-//      A *restarted* rank instead dials ALL live peers (its old
-//      connections died with the old incarnation); each peer's reactor
-//      accepts and replaces the dead slot.
+//      kernel-assigned port, which the owner publishes.
+//   2. First boot: rank p dials every q < p, sending a 4-byte hello (p's
+//      rank). Each pair gets exactly one connection, dialed by the higher
+//      rank and taken by the lower rank's `TcpEnv::handle_accept`.
+//   3. Restart: the rank rebinds, publishes its new port, and dials every
+//      peer whose port is published (its old connections died with the
+//      old incarnation); each peer's handle_accept replaces the dead
+//      slot. Two ranks restarting at once may dial each other; the
+//      accept side keeps the lower rank's connection on both ends.
+//
+// Lifecycle: construct, bind_listener, dial, start. An in-process crash
+// and recovery is crash(self), then restart(self), bind_listener, dial,
+// resume(self). run_on executes on the reactor thread, inline when no
+// reactor runs, and not at all once the rank is killed.
 //
 // The barrier files (barrier_enter/barrier_await) use the same
-// temp+rename publish, so a barrier entry is atomic and survives the
-// entrant's crash — exactly what a relaunch-after-SIGKILL needs: the
-// "ready" barrier it re-enters is already satisfied.
+// temp+rename publish as the port files, so a barrier entry is atomic and
+// survives the entrant's crash — exactly what a relaunch-after-SIGKILL
+// needs: the "ready" barrier it re-enters is already satisfied.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <memory>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "net/tcp/socket.hpp"
 #include "net/tcp/tcp_transport.hpp"
 #include "runtime/host.hpp"
 
@@ -44,9 +51,11 @@ namespace ibc::net::tcp {
 class TcpProcess final : public runtime::Host {
  public:
   /// One rank of an n-process group. The seed feeds this rank's RNG
-  /// stream exactly like TcpCluster's per-process fork, so the same
-  /// (seed, rank) pair draws the same stream on either host.
-  TcpProcess(ProcessId self, std::uint32_t n, std::uint64_t seed = 1);
+  /// stream, forked per rank, so the same (seed, rank) pair draws the
+  /// same stream whichever host runs it. The rank's clock counts from
+  /// `epoch_ns` (TcpCluster hands one epoch to all its ranks).
+  TcpProcess(ProcessId self, std::uint32_t n, std::uint64_t seed = 1,
+             TimePoint epoch_ns = steady_ns());
   ~TcpProcess() override;
 
   TcpProcess(const TcpProcess&) = delete;
@@ -59,20 +68,24 @@ class TcpProcess final : public runtime::Host {
   /// Only this rank's env exists here; any other id is a wiring bug.
   runtime::Env& env(ProcessId p) override;
 
-  /// Nanoseconds since this process constructed the host. Clocks are NOT
-  /// shared across ranks — each OS process has its own epoch, exactly
-  /// like a real deployment.
+  /// Nanoseconds since this rank's epoch.
   TimePoint now() const override;
 
-  /// Binds the rank's listening socket on 127.0.0.1 port 0 and hands it
-  /// to the reactor; returns the kernel-assigned port. Call before
-  /// start().
+  /// Binds a listening socket on 127.0.0.1 port 0, hands it to the
+  /// reactor, and returns the kernel-assigned port. Call before start(),
+  /// and again after restart().
   std::uint16_t bind_listener();
 
-  /// Installs an established connection to `peer` (the hello already
-  /// exchanged by the caller). Call before start(); connections arriving
-  /// after start() come in through the adopted listener instead.
-  void connect_peer(ProcessId peer, Fd fd);
+  /// Dials rank `q` (dial_loopback_hello, which resolves q's port on
+  /// every attempt) and installs the link. Returns the attempts it took,
+  /// or nullopt when q stayed unreachable until `deadline` or has no
+  /// published port. Call while no reactor runs.
+  std::optional<int> dial(ProcessId q, const PortResolver& resolve,
+                          std::chrono::steady_clock::time_point deadline);
+
+  /// Takes `dialer`'s connection off the listener (TcpEnv::accept_link).
+  /// Call before start() or on the reactor thread.
+  void accept_link(ProcessId dialer);
 
   /// Launches the reactor thread. Build the stack (which installs the
   /// Env receive handler) before this.
@@ -84,51 +97,61 @@ class TcpProcess final : public runtime::Host {
   /// Waits `d` of wall-clock time while the reactor makes progress.
   std::size_t run_for(Duration d) override;
 
-  /// Runs `fn` on the reactor thread and blocks until it completed
-  /// (inline after shutdown, when that is race-free).
+  /// Runs `fn` on the reactor thread and blocks until it completed:
+  /// inline on the reactor thread, inline when no reactor runs and the
+  /// rank was not killed, skipped for a killed rank (also one that dies
+  /// while we wait).
   void run_on(ProcessId p, std::function<void()> fn) override;
 
-  // Crash orchestration needs a vantage point above the process — on
-  // this host the process IS the unit that crashes (the test fixture
-  // SIGKILLs the whole daemon), so these are wiring bugs here.
+  /// Crash-stop: stops the reactor and closes every socket, so peers see
+  /// their connections reset. Idempotent. crashed(self) turns true only
+  /// once the reactor is joined: a crashed rank runs no further code.
   void crash(ProcessId p) override;
-  void crash_at(TimePoint t, ProcessId p) override;
+
+  /// Wipes a crashed rank's old incarnation (timers, queues, links) so a
+  /// fresh stack can be built on env(). Then bind_listener, publish,
+  /// dial, and resume.
   void restart(ProcessId p) override;
+
+  /// Starts the restarted rank's reactor and marks it alive.
   void resume(ProcessId p) override;
+
+  // A rank has no scheduler: TcpCluster keeps the watchdog threads, and
+  // a daemon is crashed by killing its OS process.
+  void crash_at(TimePoint t, ProcessId p) override;
   void run_at(TimePoint t, std::function<void()> fn) override;
 
-  /// This host cannot observe remote liveness (that is the failure
-  /// detector's job); it only vouches for itself.
+  /// Whether this rank was killed. Remote liveness is not observable
+  /// here (that is the failure detector's job).
   bool crashed(ProcessId p) const override;
   std::uint32_t alive_count() const override { return n_; }
 
-  runtime::HostCounters counters() const override;
+  runtime::HostCounters counters() const override {
+    return env_.counters();
+  }
 
-  /// Arms the adversary fault program on this rank's outbound links
-  /// (ibcd --fault-plan). Window times are relative to the moment of
-  /// arming — each rank arms as it passes the ready barrier, so
-  /// cross-rank window alignment is as tight as the barrier. Safe to
-  /// call before or after start().
-  void arm_fault_plan(const FaultPlan& plan);
+  /// Arms the adversary fault program on this rank's outbound links,
+  /// windows relative to env time `origin`. Safe before or after start().
+  void arm_fault_plan(const FaultPlan& plan, TimePoint origin);
+
+  /// Test seam: writes raw bytes on the link to `dst` from the reactor
+  /// thread, so the write serializes with the writev flush.
+  void write_raw_for_test(ProcessId dst, const Bytes& bytes);
+
+  /// Test seam: tears down this rank's end of the link to `dst`.
+  void close_link_for_test(ProcessId dst);
 
  private:
   const ProcessId self_;
   const std::uint32_t n_;
-  TimePoint epoch_ns_ = 0;
-  std::unique_ptr<TcpEnv> env_;
+  const TimePoint epoch_ns_;
+  TcpEnv env_;
 
-  mutable std::mutex state_mu_;
-  bool started_ = false;
+  mutable std::mutex state_mu_;  // guards the four flags below
+  bool running_ = false;         // reactor launched and not yet joined
+  bool kill_started_ = false;    // crash() begun (idempotence)
+  bool killed_ = false;          // crashed: reactor joined by crash()
   bool shut_down_ = false;
-
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> wire_bytes_sent_{0};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> writev_calls_{0};
-  std::atomic<std::uint64_t> wakeups_{0};
-  std::atomic<std::uint64_t> dropped_fault_{0};
-  std::atomic<std::uint64_t> duplicated_fault_{0};
-  std::atomic<std::uint64_t> delayed_fault_{0};
 };
 
 // ---- File-based multi-process coordination -------------------------------

@@ -15,12 +15,6 @@ namespace ibc::net::tcp {
 
 namespace {
 
-TimePoint steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// iovec entries per writev. Each frame contributes up to two (header,
 /// payload), so one syscall can carry ~half this many frames. Well under
 /// any platform IOV_MAX (POSIX guarantees >= 16; Linux has 1024).
@@ -31,7 +25,17 @@ constexpr std::size_t kMaxIov = 64;
 /// connect, so on loopback this is only hit by stray connections.
 constexpr int kHelloTimeoutMs = 2000;
 
+void bump(std::atomic<std::uint64_t>& ctr, std::uint64_t by = 1) {
+  ctr.fetch_add(by, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+TimePoint steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 TcpEnv::TcpEnv(ProcessId self, std::uint32_t n, Rng rng, TimePoint epoch_ns)
     : self_(self),
@@ -51,8 +55,7 @@ TcpEnv::~TcpEnv() { request_stop(); }
 TimePoint TcpEnv::now() const { return steady_ns() - epoch_ns_; }
 
 void TcpEnv::wake() {
-  if (wakeups_ctr_ != nullptr)
-    wakeups_ctr_->fetch_add(1, std::memory_order_relaxed);
+  bump(wakeups_);
   const char byte = 1;
   // A full pipe already guarantees a pending wakeup.
   [[maybe_unused]] const ssize_t ignored =
@@ -75,19 +78,10 @@ void TcpEnv::enqueue_frame_direct(ProcessId dst, const Payload& msg) {
   // Counted here — frames actually queued on a socket — so sends to
   // dead peers don't inflate the wire total. Payload plus the u32
   // length prefix.
-  if (wire_bytes_ctr_ != nullptr) {
-    wire_bytes_ctr_->fetch_add(msg.size() + sizeof(std::uint32_t),
-                               std::memory_order_relaxed);
-  }
+  bump(wire_bytes_, msg.size() + sizeof(std::uint32_t));
   peer.outq.push_back(
       OutFrame{frame_header(static_cast<std::uint32_t>(msg.size())), msg});
 }
-
-namespace {
-void bump(std::atomic<std::uint64_t>* ctr) {
-  if (ctr != nullptr) ctr->fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace
 
 void TcpEnv::fault_checkpoint(ProcessId dst, const Payload& msg) {
   using Action = LinkFaultStage::Decision::Action;
@@ -95,24 +89,24 @@ void TcpEnv::fault_checkpoint(ProcessId dst, const Payload& msg) {
       faults_->decide(self_, dst, now());
   switch (verdict.action) {
     case Action::kDrop:
-      bump(dropped_fault_ctr_);
+      bump(dropped_fault_);
       return;
     case Action::kHold:
       // Buffering partition: park until the heal, then re-check.
-      bump(delayed_fault_ctr_);
+      bump(delayed_fault_);
       held_.push_back(HeldFrame{verdict.release, dst, msg, true});
       return;
     case Action::kDelay:
-      bump(delayed_fault_ctr_);
+      bump(delayed_fault_);
       if (verdict.duplicate) {
-        bump(duplicated_fault_ctr_);
+        bump(duplicated_fault_);
         held_.push_back(HeldFrame{verdict.release, dst, msg, false});
       }
       held_.push_back(HeldFrame{verdict.release, dst, msg, false});
       return;
     case Action::kForward:
       if (verdict.duplicate) {
-        bump(duplicated_fault_ctr_);
+        bump(duplicated_fault_);
         enqueue_frame_direct(dst, msg);
       }
       enqueue_frame_direct(dst, msg);
@@ -162,8 +156,7 @@ void TcpEnv::set_fault_plan(FaultPlan plan, TimePoint origin) {
 
 void TcpEnv::send(ProcessId dst, Payload msg) {
   IBC_REQUIRE(dst >= 1 && dst <= n_);
-  if (messages_ctr_ != nullptr)
-    messages_ctr_->fetch_add(1, std::memory_order_relaxed);
+  bump(messages_);
   if (dst == self_) {
     // Loopback: dispatch asynchronously on the reactor, like everyone
     // else's messages. The shared Payload is the frame — no copy.
@@ -188,8 +181,7 @@ void TcpEnv::send(ProcessId dst, Payload msg) {
 void TcpEnv::multicast(Payload msg) {
   // Accounting is per destination, exactly like a loop of sends; the
   // frame bytes are shared by every queue entry.
-  if (messages_ctr_ != nullptr)
-    messages_ctr_->fetch_add(n_ - 1, std::memory_order_relaxed);
+  bump(messages_, n_ - 1);
   if (on_reactor()) {
     for (ProcessId q = 1; q <= n_; ++q) {
       if (q != self_) enqueue_frame(q, msg);
@@ -271,12 +263,7 @@ void TcpEnv::request_stop() {
     wake();
     thread_.join();
   }
-  for (Peer& peer : peers_) {
-    peer.fd.reset();
-    peer.open = false;
-    peer.outq.clear();
-    peer.out_offset = 0;
-  }
+  for (Peer& peer : peers_) peer.close();
   // Parked fault frames die with the incarnation — the simulator
   // likewise loses held messages whose sender crashes before the heal.
   held_.clear();
@@ -300,7 +287,7 @@ void TcpEnv::reset_for_restart() {
   // restarted process rejoins the same hostile wire); its parked frames
   // do not.
   held_.clear();
-  for (Peer& peer : peers_) peer = Peer{};
+  for (Peer& peer : peers_) peer.close();
   // Stale wakeup bytes would make the first poll spin.
   std::uint8_t sink[256];
   while (::read(wake_r_.get(), sink, sizeof sink) > 0) {
@@ -314,7 +301,7 @@ void TcpEnv::install_peer(ProcessId peer_id, Fd fd) {
   IBC_REQUIRE(fd.valid());
   make_nonblocking_nodelay(fd);
   Peer& peer = peers_[peer_id];
-  peer = Peer{};
+  peer.close();
   peer.fd = std::move(fd);
   peer.open = true;
 }
@@ -362,11 +349,34 @@ void TcpEnv::handle_accept() {
     // socket (the receiver's decoder died with the loser), and the RB
     // layer's frame dedup absorbs any frame that had already crossed.
     std::deque<OutFrame> outq = std::move(peer.outq);
-    peer = Peer{};
+    peer.close();
     peer.fd = std::move(conn);
     peer.open = true;
     peer.outq = std::move(outq);
   }
+}
+
+void TcpEnv::accept_link(ProcessId dialer) {
+  IBC_REQUIRE(dialer >= 1 && dialer <= n_ && dialer != self_);
+  IBC_REQUIRE_MSG(on_reactor() || reactor_tid_.load() == std::thread::id{},
+                  "accept_link off the reactor while it runs");
+  handle_accept();
+  pollfd pfd{listener_.get(), POLLIN, 0};
+  while (!peers_[dialer].open && ::poll(&pfd, 1, kHelloTimeoutMs) == 1)
+    handle_accept();
+}
+
+runtime::HostCounters TcpEnv::counters() const {
+  runtime::HostCounters out;
+  out.messages_sent = messages_.load(std::memory_order_relaxed);
+  out.wire_bytes_sent = wire_bytes_.load(std::memory_order_relaxed);
+  out.frames_sent = frames_.load(std::memory_order_relaxed);
+  out.writev_calls = writev_calls_.load(std::memory_order_relaxed);
+  out.wakeups = wakeups_.load(std::memory_order_relaxed);
+  out.dropped_fault = dropped_fault_.load(std::memory_order_relaxed);
+  out.duplicated_fault = duplicated_fault_.load(std::memory_order_relaxed);
+  out.delayed_fault = delayed_fault_.load(std::memory_order_relaxed);
+  return out;
 }
 
 void TcpEnv::drain_cross_thread() {
@@ -466,10 +476,7 @@ void TcpEnv::handle_readable(ProcessId peer_id) {
       // Peer crashed or closed: from now on it is silent, exactly like a
       // crashed process in the model. The failure detector notices. Any
       // parked backlog dies with the channel.
-      peer.open = false;
-      peer.fd.reset();
-      peer.outq.clear();
-      peer.out_offset = 0;
+      peer.close();
     }
     return;
   }
@@ -518,14 +525,10 @@ void TcpEnv::flush_peer(ProcessId peer_id) {
     if (wrote < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
         return;  // kernel buffer full: resume on POLLOUT
-      peer.open = false;  // connection reset
-      peer.fd.reset();
-      peer.outq.clear();
-      peer.out_offset = 0;
+      peer.close();  // connection reset
       return;
     }
-    if (writev_ctr_ != nullptr)
-      writev_ctr_->fetch_add(1, std::memory_order_relaxed);
+    bump(writev_calls_);
 
     // Retire fully-written frames; a partial frame keeps its offset.
     std::size_t remaining = static_cast<std::size_t>(wrote);
@@ -538,8 +541,7 @@ void TcpEnv::flush_peer(ProcessId peer_id) {
         remaining -= frame_left;
         peer.outq.pop_front();
         peer.out_offset = 0;
-        if (frames_ctr_ != nullptr)
-          frames_ctr_->fetch_add(1, std::memory_order_relaxed);
+        bump(frames_);
       } else {
         peer.out_offset += remaining;
         remaining = 0;
@@ -612,307 +614,6 @@ void TcpEnv::reactor_loop(const std::stop_token& st) {
   // Cleared on exit so a recycled OS thread id can't alias a dead
   // reactor in run_on's self-thread check.
   reactor_tid_.store(std::thread::id{});
-}
-
-TcpCluster::TcpCluster(std::uint32_t n, std::uint64_t seed)
-    : epoch_ns_(steady_ns()),
-      kill_started_(n + 1, false),
-      killed_(n + 1, false) {
-  IBC_REQUIRE(n >= 1);
-  const Rng root(seed);
-  envs_.push_back(nullptr);  // 1-based
-  for (ProcessId p = 1; p <= n; ++p) {
-    envs_.push_back(std::make_unique<TcpEnv>(
-        p, n, root.fork("tcp-process", p), epoch_ns_));
-    envs_[p]->messages_ctr_ = &messages_sent_;
-    envs_[p]->wire_bytes_ctr_ = &wire_bytes_sent_;
-    envs_[p]->frames_ctr_ = &frames_sent_;
-    envs_[p]->writev_ctr_ = &writev_calls_;
-    envs_[p]->wakeups_ctr_ = &wakeups_;
-    envs_[p]->dropped_fault_ctr_ = &dropped_fault_;
-    envs_[p]->duplicated_fault_ctr_ = &duplicated_fault_;
-    envs_[p]->delayed_fault_ctr_ = &delayed_fault_;
-  }
-
-  // Full mesh: p dials every q > p; the hello frame identifies the
-  // dialer. Loopback connect succeeds against the listen backlog, so the
-  // whole mesh is wired synchronously from this one thread.
-  std::vector<Fd> listeners(n + 1);
-  std::vector<std::uint16_t> ports(n + 1, 0);
-  for (ProcessId p = 1; p <= n; ++p) {
-    auto [fd, port] = listen_loopback();
-    listeners[p] = std::move(fd);
-    ports[p] = port;
-  }
-  for (ProcessId p = 1; p <= n; ++p) {
-    for (ProcessId q = p + 1; q <= n; ++q) {
-      DialResult dial = dial_loopback_hello(
-          ports[q], p,
-          std::chrono::steady_clock::now() + std::chrono::seconds(5));
-      IBC_REQUIRE_MSG(dial.fd.valid(),
-                      "initial mesh dial failed after bounded backoff");
-      Fd dialer = std::move(dial.fd);
-      Fd accepted = accept_one(listeners[q]);
-      std::uint32_t got = 0;
-      IBC_REQUIRE(::read(accepted.get(), &got, sizeof got) == sizeof got);
-      IBC_REQUIRE(got == p);
-
-      make_nonblocking_nodelay(dialer);
-      make_nonblocking_nodelay(accepted);
-      envs_[p]->peers_[q].fd = std::move(dialer);
-      envs_[p]->peers_[q].open = true;
-      envs_[q]->peers_[p].fd = std::move(accepted);
-      envs_[q]->peers_[p].open = true;
-    }
-  }
-}
-
-TcpCluster::~TcpCluster() { shutdown(); }
-
-runtime::Env& TcpCluster::env(ProcessId p) {
-  IBC_REQUIRE(p >= 1 && p <= n());
-  return *envs_[p];
-}
-
-TimePoint TcpCluster::now() const { return steady_ns() - epoch_ns_; }
-
-void TcpCluster::start() {
-  for (ProcessId p = 1; p <= n(); ++p) envs_[p]->start_thread();
-}
-
-void TcpCluster::shutdown() {
-  // Joining the watchdogs first guarantees no concurrent kill() below.
-  watchdogs_.clear();
-  for (ProcessId p = 1; p <= n(); ++p) envs_[p]->request_stop();
-  const std::scoped_lock lock(state_mu_);
-  shut_down_ = true;
-}
-
-std::size_t TcpCluster::run_for(Duration d) {
-  if (d > 0) std::this_thread::sleep_for(std::chrono::nanoseconds(d));
-  return 0;
-}
-
-void TcpCluster::post(ProcessId p, std::function<void()> fn) {
-  envs_[p]->defer(std::move(fn));
-}
-
-void TcpCluster::run_on(ProcessId p, std::function<void()> fn) {
-  IBC_REQUIRE(p >= 1 && p <= n());
-  if (envs_[p]->reactor_tid_.load() == std::this_thread::get_id()) {
-    // Already on p's reactor (e.g. abroadcast from inside a delivery
-    // callback): deferring and blocking would deadlock; run directly.
-    fn();
-    return;
-  }
-  bool run_inline = false;
-  {
-    const std::scoped_lock lock(state_mu_);
-    if (killed_[p]) return;
-    run_inline = shut_down_;
-  }
-  if (run_inline) {
-    // Reactors are joined: inline execution is race-free.
-    fn();
-    return;
-  }
-  struct DoneGate {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool abandoned = false;
-  };
-  // Shared: if p dies before running the task, the closure (and gate)
-  // must outlive this frame. The reactor runs `fn` while holding
-  // gate->mu, so the abandon decision below is serialized against the
-  // task: once we mark it abandoned, `fn` (whose captures may reference
-  // this frame) can no longer start.
-  auto gate = std::make_shared<DoneGate>();
-  envs_[p]->defer([fn = std::move(fn), gate] {
-    std::unique_lock lock(gate->mu);
-    if (gate->abandoned) return;
-    fn();
-    gate->done = true;
-    lock.unlock();
-    gate->cv.notify_one();
-  });
-  std::unique_lock lock(gate->mu);
-  while (!gate->done) {
-    // Re-check liveness periodically: a concurrent kill(p) or
-    // shutdown() stops the reactor and the task would otherwise never
-    // complete.
-    gate->cv.wait_for(lock, std::chrono::milliseconds(20));
-    if (gate->done) break;
-    const std::scoped_lock state_lock(state_mu_);
-    if (killed_[p] || shut_down_) {
-      gate->abandoned = true;
-      return;
-    }
-  }
-}
-
-void TcpCluster::kill(ProcessId p) {
-  IBC_REQUIRE(p >= 1 && p <= n());
-  {
-    const std::scoped_lock lock(state_mu_);
-    if (kill_started_[p]) return;  // serializes concurrent request_stop
-    kill_started_[p] = true;
-  }
-  envs_[p]->request_stop();
-  // killed_ (what crashed() reports) flips only once the reactor is
-  // joined, so a crashed-observed process is guaranteed to execute no
-  // further code — direct reads of its protocol state are race-free.
-  const std::scoped_lock lock(state_mu_);
-  killed_[p] = true;
-}
-
-void TcpCluster::crash_at(TimePoint t, ProcessId p) {
-  IBC_REQUIRE(p >= 1 && p <= n());
-  run_at(t, [this, p] { kill(p); });
-}
-
-void TcpCluster::restart(ProcessId p) {
-  IBC_REQUIRE(p >= 1 && p <= n());
-  {
-    const std::scoped_lock lock(state_mu_);
-    IBC_REQUIRE_MSG(killed_[p], "restart of a process that is alive");
-    IBC_REQUIRE_MSG(!shut_down_, "restart after shutdown");
-  }
-  envs_[p]->reset_for_restart();
-
-  // Re-dial the mesh: p listens on a fresh ephemeral port and every live
-  // peer connects back from its own reactor thread (which owns that
-  // peer's table — no lock needed), identifying itself with the same u32
-  // hello the initial mesh handshake uses. The dials all complete
-  // against the listen backlog before we accept, so the run_on calls
-  // cannot deadlock on each other.
-  auto [listener, port] = listen_loopback();
-  std::uint32_t expected = 0;
-  for (ProcessId q = 1; q <= n(); ++q) {
-    if (q == p || crashed(q)) continue;
-    ++expected;
-    run_on(q, [this, p, q, port = port] {
-      // Bounded-backoff redial: several ranks restarting at once can
-      // race each other's listener setup, so a one-shot connect (and
-      // its assert) is the wrong tool here.
-      DialResult dial = dial_loopback_hello(
-          port, q,
-          std::chrono::steady_clock::now() + std::chrono::seconds(5));
-      IBC_REQUIRE_MSG(dial.fd.valid(),
-                      "mesh redial failed after bounded backoff");
-      Fd dialer = std::move(dial.fd);
-      make_nonblocking_nodelay(dialer);
-      TcpEnv::Peer& peer = envs_[q]->peers_[p];
-      peer = TcpEnv::Peer{};  // drop any half-flushed pre-crash frame
-      peer.fd = std::move(dialer);
-      peer.open = true;
-    });
-  }
-  for (std::uint32_t i = 0; i < expected; ++i) {
-    Fd accepted = accept_one(listener);
-    std::uint32_t got = 0;
-    IBC_REQUIRE(::read(accepted.get(), &got, sizeof got) == sizeof got);
-    IBC_REQUIRE(got >= 1 && got <= n() && got != p);
-    make_nonblocking_nodelay(accepted);
-    TcpEnv::Peer& peer = envs_[p]->peers_[got];
-    peer.fd = std::move(accepted);
-    peer.open = true;
-  }
-}
-
-void TcpCluster::resume(ProcessId p) {
-  IBC_REQUIRE(p >= 1 && p <= n());
-  envs_[p]->start_thread();
-  const std::scoped_lock lock(state_mu_);
-  killed_[p] = false;
-  kill_started_[p] = false;
-}
-
-void TcpCluster::run_at(TimePoint t, std::function<void()> fn) {
-  watchdogs_.emplace_back(
-      [this, t, fn = std::move(fn)](const std::stop_token& st) {
-        std::mutex mu;
-        std::condition_variable_any cv;
-        std::unique_lock lock(mu);
-        const Duration delay = t - now();
-        if (delay > 0) {
-          cv.wait_for(lock, st, std::chrono::nanoseconds(delay),
-                      [] { return false; });
-        }
-        if (!st.stop_requested()) fn();
-      });
-}
-
-bool TcpCluster::crashed(ProcessId p) const {
-  const std::scoped_lock lock(state_mu_);
-  return killed_[p];
-}
-
-std::uint32_t TcpCluster::alive_count() const {
-  const std::scoped_lock lock(state_mu_);
-  std::uint32_t alive = 0;
-  for (ProcessId p = 1; p <= n(); ++p)
-    if (!killed_[p]) ++alive;
-  return alive;
-}
-
-void TcpCluster::write_raw_for_test(ProcessId src, ProcessId dst,
-                                    const Bytes& bytes) {
-  IBC_REQUIRE(src >= 1 && src <= n() && dst >= 1 && dst <= n() &&
-              src != dst);
-  // run_on blocks until the closure ran, so capturing `bytes` by
-  // reference is safe and the test observes a completed write.
-  run_on(src, [this, src, dst, &bytes] {
-    TcpEnv::Peer& peer = envs_[src]->peers_[dst];
-    IBC_REQUIRE_MSG(peer.open && !peer.has_backlog(),
-                    "raw writes need an open, idle link");
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t wrote =
-          ::send(peer.fd.get(), bytes.data() + off, bytes.size() - off,
-                 MSG_NOSIGNAL);
-      if (wrote < 0 &&
-          (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-        continue;  // test writes are tiny; spinning is fine
-      }
-      IBC_REQUIRE(wrote > 0);
-      off += static_cast<std::size_t>(wrote);
-    }
-  });
-}
-
-void TcpCluster::close_link_for_test(ProcessId src, ProcessId dst) {
-  IBC_REQUIRE(src >= 1 && src <= n() && dst >= 1 && dst <= n() &&
-              src != dst);
-  run_on(src, [this, src, dst] {
-    TcpEnv::Peer& peer = envs_[src]->peers_[dst];
-    peer.open = false;
-    peer.fd.reset();
-    peer.outq.clear();
-    peer.out_offset = 0;
-  });
-}
-
-runtime::HostCounters TcpCluster::counters() const {
-  runtime::HostCounters counters{
-      messages_sent_.load(std::memory_order_relaxed),
-      wire_bytes_sent_.load(std::memory_order_relaxed),
-      frames_sent_.load(std::memory_order_relaxed),
-      writev_calls_.load(std::memory_order_relaxed),
-      wakeups_.load(std::memory_order_relaxed)};
-  counters.dropped_fault = dropped_fault_.load(std::memory_order_relaxed);
-  counters.duplicated_fault =
-      duplicated_fault_.load(std::memory_order_relaxed);
-  counters.delayed_fault = delayed_fault_.load(std::memory_order_relaxed);
-  return counters;
-}
-
-void TcpCluster::set_fault_plan(const FaultPlan& plan) {
-  // Pre-start only (each env asserts its reactor is not running):
-  // windows are relative to origin 0, the cluster epoch.
-  for (ProcessId p = 1; p <= n(); ++p) {
-    envs_[p]->set_fault_plan(plan, 0);
-  }
 }
 
 }  // namespace ibc::net::tcp

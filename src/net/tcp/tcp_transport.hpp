@@ -1,17 +1,19 @@
-// Real TCP transport: the same protocol stacks over loopback sockets.
+// Real TCP transport: one process's `runtime::Env` over loopback sockets.
 //
-// `TcpCluster` hosts n processes inside one OS process, each with its own
-// reactor thread (poll loop) and a full mesh of TCP connections over
-// 127.0.0.1. It implements the same `runtime::Env` contract as the
-// simulator, so every layer — failure detector, broadcasts, consensus,
-// atomic broadcast — runs unmodified on real sockets: the Neko property
-// the paper's framework provides [9].
+// A `TcpEnv` is one rank's endpoint: a reactor thread (poll loop), a
+// listening socket, and one TCP connection per peer over 127.0.0.1. It
+// implements the same `runtime::Env` contract as the simulator, so every
+// layer — failure detector, broadcasts, consensus, atomic broadcast —
+// runs unmodified on real sockets: the Neko property the paper's
+// framework provides [9]. `TcpProcess` (tcp_process.hpp) owns one
+// `TcpEnv` and is the only rank type; `TcpCluster` (tcp_cluster.hpp)
+// runs n of them in one OS process, `ibcd` one per OS process.
 //
 // Threading contract: each process's protocol code runs exclusively on
-// its reactor thread. External threads interact through `post` /
-// `run_on` (and the thread-safe Env methods, which internally hand work
-// to the reactor). Per Core Guidelines CP: jthread (no detach), RAII
-// sockets, scoped_lock around the small cross-thread state.
+// its reactor thread. External threads interact through the thread-safe
+// Env methods (send, timers, defer), which hand work to the reactor.
+// Per Core Guidelines CP: jthread (no detach), RAII sockets, scoped_lock
+// around the small cross-thread state.
 //
 // Send path: a frame is a (u32 length header, shared Payload) pair in a
 // per-peer output queue — the payload bytes are never copied per peer.
@@ -21,19 +23,16 @@
 // are flushed with writev, many frames per syscall; a partial write
 // parks the remainder until POLLOUT.
 //
-// Lifecycle:
-//   TcpCluster cluster(n);          // mesh established, reactors idle
-//   ...build one stack per process on cluster.env(p)...
-//   cluster.start();                // reactors spin up
-//   cluster.run_on(p, [&]{ stack.start(); });    // per-process start
-//   ...cluster.post(p, ...) to broadcast, etc...
-//   cluster.kill(p);                // optional: crash a process
-//   ~TcpCluster                     // stops and joins all reactors
+// Links: a dialer connects to the peer's listener and writes a 4-byte
+// hello (its rank); `handle_accept` is the one place a hello is read
+// and a link installed, with a lower-rank-wins tie-break when two ranks
+// dial each other at once. Links are wired before the reactor starts
+// (`install_peer`, `accept_link`); afterwards the reactor accepts
+// restarted peers' dials from its listener.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -54,7 +53,9 @@
 
 namespace ibc::net::tcp {
 
-class TcpCluster;
+/// The steady clock in nanoseconds. A TCP host's epoch is one reading;
+/// its env clocks count from there.
+TimePoint steady_ns();
 
 /// Env implementation backed by a reactor thread and TCP sockets.
 /// send/set_timer/cancel_timer/defer are thread-safe; receive and timer
@@ -83,17 +84,24 @@ class TcpEnv final : public runtime::Env {
   Rng& rng() override { return rng_; }
   const Logger& log() const override { return log_; }
 
-  /// Pre-start wiring seam for the multi-process host (`TcpProcess`):
-  /// installs an established, already-hello-identified connection as the
-  /// link to `peer`. Legal only while the reactor thread is not running.
+  /// Installs an established, hello-sent connection this rank dialed as
+  /// the link to `peer`. Legal only while the reactor thread is not
+  /// running.
   void install_peer(ProcessId peer, Fd fd);
 
-  /// Hands the reactor a listening socket (multi-process mesh): incoming
-  /// connections are accepted on the reactor thread, identified by a
-  /// 4-byte hello (the dialer's rank), and installed as that rank's
-  /// link — replacing a dead slot when a restarted peer dials back in.
-  /// Call before the reactor starts; the listener is owned from then on.
+  /// Hands the reactor a listening socket: incoming connections are
+  /// accepted on the reactor thread by `handle_accept`. Call before the
+  /// reactor starts; the listener is owned from then on.
   void adopt_listener(Fd listener);
+
+  /// Takes pending connections off the listener (`handle_accept`) until
+  /// the link to `dialer` is open, waiting on the listener, bounded by the
+  /// hello timeout, for a dial still in flight. Legal before the reactor
+  /// starts or on the reactor thread.
+  void accept_link(ProcessId dialer);
+
+  /// Transport totals of this rank. They survive kill and restart.
+  runtime::HostCounters counters() const;
 
   /// Installs the adversary fault program on this env's outbound links:
   /// the same `net::FaultPlan` the simulator applies at the NIC exit
@@ -104,7 +112,6 @@ class TcpEnv final : public runtime::Env {
   void set_fault_plan(FaultPlan plan, TimePoint origin);
 
  private:
-  friend class TcpCluster;
   friend class TcpProcess;
 
   /// One queued outbound frame: the 4-byte length header (the only
@@ -120,6 +127,8 @@ class TcpEnv final : public runtime::Env {
     FrameDecoder decoder;
     bool open = false;
     bool has_backlog() const { return !outq.empty(); }
+    /// Drops the connection and anything still queued on it.
+    void close() { *this = Peer{}; }
   };
   struct PendingTimer {
     TimePoint deadline;
@@ -171,7 +180,8 @@ class TcpEnv final : public runtime::Env {
   void flush_all_peers();
   void handle_readable(ProcessId peer);
   /// Drains the adopted listener: accepts pending connections, reads
-  /// each dialer's hello rank, installs the link (reactor thread only).
+  /// each dialer's hello rank, installs the link (reactor thread, or
+  /// before it starts).
   void handle_accept();
 
   const ProcessId self_;
@@ -183,7 +193,7 @@ class TcpEnv final : public runtime::Env {
 
   std::vector<Peer> peers_;  // [1..n]; peers_[self_] unused
   Fd wake_r_, wake_w_;
-  Fd listener_;  // multi-process accept socket (invalid on TcpCluster)
+  Fd listener_;  // accepts peers' dials (invalid until adopt_listener)
 
   /// One frame the fault stage parked. `recheck` distinguishes a
   /// buffering-partition hold (the release re-runs the checkpoint —
@@ -219,138 +229,22 @@ class TcpEnv final : public runtime::Env {
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t next_timer_seq_ = 0;
 
-  // Cluster-wide transport counters (owned by TcpCluster).
-  std::atomic<std::uint64_t>* messages_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* wire_bytes_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* frames_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* writev_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* wakeups_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* dropped_fault_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* duplicated_fault_ctr_ = nullptr;
-  std::atomic<std::uint64_t>* delayed_fault_ctr_ = nullptr;
-
-  // The reactor's thread id while the loop runs (default id otherwise).
-  // Read by TcpCluster::run_on without touching thread_, which a
-  // concurrent kill() may be joining.
-  std::atomic<std::thread::id> reactor_tid_{};
-
-  std::jthread thread_;  // joins on destruction (CP.25)
-};
-
-class TcpCluster final : public runtime::Host {
- public:
-  /// Establishes the full loopback mesh; reactors stay idle until
-  /// start().
-  explicit TcpCluster(std::uint32_t n, std::uint64_t seed = 1);
-
-  /// Stops and joins every reactor.
-  ~TcpCluster() override;
-
-  TcpCluster(const TcpCluster&) = delete;
-  TcpCluster& operator=(const TcpCluster&) = delete;
-
-  std::uint32_t n() const override {
-    return static_cast<std::uint32_t>(envs_.size() - 1);
-  }
-  runtime::Env& env(ProcessId p) override;
-
-  runtime::HostKind kind() const override {
-    return runtime::HostKind::kTcp;
-  }
-
-  /// Nanoseconds since the cluster was constructed (all processes share
-  /// the epoch).
-  TimePoint now() const override;
-
-  /// Launches the reactor threads. Build the protocol stacks (which call
-  /// env().set_receive) before this.
-  void start() override;
-
-  /// Cancels pending scheduled crashes, then stops and joins every
-  /// reactor. After this the stacks' state can be read without races.
-  /// Idempotent.
-  void shutdown() override;
-
-  /// Waits `d` of wall-clock time while the reactors make progress.
-  std::size_t run_for(Duration d) override;
-
-  /// Enqueues `fn` on p's reactor thread (fire and forget).
-  void post(ProcessId p, std::function<void()> fn);
-
-  /// Runs `fn` on p's reactor thread and blocks until it completed.
-  /// Returns without running `fn` if p is (or crashes while we wait)
-  /// dead.
-  void run_on(ProcessId p, std::function<void()> fn) override;
-
-  /// Simulated crash: stops p's reactor and closes its sockets; peers
-  /// observe the connection reset and the failure detector takes over.
-  void kill(ProcessId p);
-
-  void crash(ProcessId p) override { kill(p); }
-
-  /// Schedules a kill at absolute host time `t` on a watchdog thread.
-  void crash_at(TimePoint t, ProcessId p) override;
-
-  /// Revives a killed `p`: wipes the old incarnation's reactor state and
-  /// re-dials the loopback mesh (each live peer connects back from its
-  /// own reactor thread). On return a fresh protocol stack can be built
-  /// on env(p); messages peers send meanwhile wait in the socket buffers.
-  /// Call resume(p) afterwards to start the new reactor.
-  void restart(ProcessId p) override;
-
-  /// Starts p's new reactor thread and marks it alive again.
-  void resume(ProcessId p) override;
-
-  /// Runs `fn` at absolute host time `t` on a watchdog thread (the same
-  /// mechanism as crash_at). Call from the controlling thread only —
-  /// the watchdog list is not itself thread-safe.
-  void run_at(TimePoint t, std::function<void()> fn) override;
-
-  bool crashed(ProcessId p) const override;
-  std::uint32_t alive_count() const override;
-
-  runtime::HostCounters counters() const override;
-
-  /// Arms the same fault program on every process's outbound fault
-  /// stage, windows relative to the cluster epoch (construction time).
-  /// The plan survives kill/restart — a restarted incarnation rejoins
-  /// the same hostile wire, like the simulator. Call before start().
-  void set_fault_plan(const FaultPlan& plan);
-
-  /// Test seam (tcp_test): writes raw bytes on the mesh socket
-  /// src -> dst, on src's reactor thread so the write serializes with
-  /// the writev flush. Lets tests split a frame — header included —
-  /// across TCP segments and exercise the receiver's reassembly on a
-  /// real connection.
-  void write_raw_for_test(ProcessId src, ProcessId dst,
-                          const Bytes& bytes);
-
-  /// Test seam (tcp_test): tears down src's end of the src -> dst link
-  /// (dst observes a connection reset, as after a crash). Idempotent;
-  /// the rest of the mesh is untouched.
-  void close_link_for_test(ProcessId src, ProcessId dst);
-
- private:
-  TimePoint epoch_ns_ = 0;
-  std::vector<std::unique_ptr<TcpEnv>> envs_;  // [1..n]
-
-  mutable std::mutex state_mu_;    // guards the three members below
-  std::vector<bool> kill_started_;  // [1..n] kill() begun (idempotence)
-  std::vector<bool> killed_;        // [1..n] reactor joined: truly dead
-  bool shut_down_ = false;
-
-  std::atomic<std::uint64_t> messages_sent_{0};
-  std::atomic<std::uint64_t> wire_bytes_sent_{0};
-  std::atomic<std::uint64_t> frames_sent_{0};
+  // Transport counters, read from any thread by counters().
+  std::atomic<std::uint64_t> messages_{0};
+  std::atomic<std::uint64_t> wire_bytes_{0};
+  std::atomic<std::uint64_t> frames_{0};
   std::atomic<std::uint64_t> writev_calls_{0};
   std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> dropped_fault_{0};
   std::atomic<std::uint64_t> duplicated_fault_{0};
   std::atomic<std::uint64_t> delayed_fault_{0};
 
-  // Pending crash_at watchdogs. Declared last: their jthread destructors
-  // request stop and join before anything else is torn down.
-  std::vector<std::jthread> watchdogs_;
+  // The reactor's thread id while the loop runs (default id otherwise).
+  // Read by TcpProcess::run_on without touching thread_, which a
+  // concurrent kill() may be joining.
+  std::atomic<std::thread::id> reactor_tid_{};
+
+  std::jthread thread_;  // joins on destruction (CP.25)
 };
 
 }  // namespace ibc::net::tcp

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/tcp/tcp_transport.hpp"
+#include "net/tcp/tcp_cluster.hpp"
 #include "runtime/sim_cluster.hpp"
 #include "util/assert.hpp"
 

@@ -54,6 +54,19 @@ struct HostCounters {
   std::uint64_t dropped_fault = 0;     // discarded by the fault plan
   std::uint64_t duplicated_fault = 0;  // extra copies the adversary made
   std::uint64_t delayed_fault = 0;     // held by a cut or delayed
+
+  HostCounters& operator+=(const HostCounters& o) {
+    messages_sent += o.messages_sent;
+    wire_bytes_sent += o.wire_bytes_sent;
+    frames_sent += o.frames_sent;
+    writev_calls += o.writev_calls;
+    wakeups += o.wakeups;
+    dropped_crash += o.dropped_crash;
+    dropped_fault += o.dropped_fault;
+    duplicated_fault += o.duplicated_fault;
+    delayed_fault += o.delayed_fault;
+    return *this;
+  }
 };
 
 class Host {

@@ -1,49 +1,11 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <numeric>
 
 #include "util/assert.hpp"
 
 namespace ibc {
-
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double Samples::mean() const {
   if (values_.empty()) return 0.0;
@@ -78,52 +40,6 @@ void Samples::ensure_sorted() {
     std::sort(values_.begin(), values_.end());
     sorted_ = true;
   }
-}
-
-Histogram::Histogram(double lo, double bucket_width, std::size_t buckets)
-    : lo_(lo), width_(bucket_width), counts_(buckets + 2, 0) {
-  IBC_REQUIRE(bucket_width > 0);
-  IBC_REQUIRE(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++counts_.front();
-    return;
-  }
-  const double offset = (x - lo_) / width_;
-  const std::size_t bucket = static_cast<std::size_t>(offset);
-  if (bucket >= counts_.size() - 2) {
-    ++counts_.back();
-  } else {
-    ++counts_[bucket + 1];
-  }
-}
-
-std::string Histogram::to_string() const {
-  std::string out;
-  char line[128];
-  if (counts_.front() > 0) {
-    std::snprintf(line, sizeof line, "(-inf, %g): %zu\n", lo_,
-                  counts_.front());
-    out += line;
-  }
-  for (std::size_t i = 1; i + 1 < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double b_lo = lo_ + width_ * static_cast<double>(i - 1);
-    std::snprintf(line, sizeof line, "[%g, %g): %zu\n", b_lo, b_lo + width_,
-                  counts_[i]);
-    out += line;
-  }
-  if (counts_.back() > 0) {
-    const double b_lo =
-        lo_ + width_ * static_cast<double>(counts_.size() - 2);
-    std::snprintf(line, sizeof line, "[%g, +inf): %zu\n", b_lo,
-                  counts_.back());
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace ibc

@@ -1,38 +1,10 @@
-// Statistics accumulators for latency measurements and benchmarks.
+// Latency sample reservoir with exact quantiles.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace ibc {
-
-/// Streaming mean/variance/min/max accumulator (Welford's algorithm).
-/// O(1) memory; suitable for millions of samples.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  /// Unbiased sample variance (0 if fewer than two samples).
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ > 0 ? min_ : 0.0; }
-  double max() const { return n_ > 0 ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
-
-  /// Merges another accumulator into this one (parallel-friendly).
-  void merge(const OnlineStats& other);
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Reservoir of samples with exact quantiles. Stores every sample; meant
 /// for per-experiment latency distributions (10^4..10^6 samples).
@@ -59,25 +31,6 @@ class Samples {
 
   std::vector<double> values_;
   bool sorted_ = false;
-};
-
-/// Fixed-boundary histogram for quick textual distribution dumps.
-class Histogram {
- public:
-  /// Buckets: [lo, lo+w), [lo+w, lo+2w), ... plus underflow/overflow.
-  Histogram(double lo, double bucket_width, std::size_t buckets);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-
-  /// One line per non-empty bucket: "[lo, hi) count".
-  std::string to_string() const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;  // [0]=underflow, [last]=overflow
-  std::size_t total_ = 0;
 };
 
 }  // namespace ibc

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "harness.hpp"
+#include "runtime/cluster.hpp"
 
 namespace ibc::test {
 namespace {
@@ -71,18 +72,22 @@ TEST_P(AbcastProperties, HoldsUnderRandomTrafficAndCrashes) {
   cfg.rb = param.rb;
   cfg.fd = abcast::FdKind::kHeartbeat;
   net::NetModel model = net::NetModel::setup1();
-  AbcastHarness h(param.n, cfg, model, param.seed);
+  Cluster cluster(ClusterOptions{}
+                      .with_n(param.n)
+                      .with_stack(cfg)
+                      .with_model(model)
+                      .with_seed(param.seed));
 
   // Random traffic: ~20 messages per process over the first second, paced
   // through each process's Env so crashed processes stop broadcasting.
   std::map<MessageId, ProcessId> broadcast_by;
   for (ProcessId p = 1; p <= param.n; ++p) {
-    runtime::Env& env = h.cluster().env(p);
+    runtime::Env& env = cluster.env(p);
     for (int i = 0; i < 20; ++i) {
       const Duration at =
           milliseconds(env.rng().next_in(0, 1000));
-      env.set_timer(at, [&h, &broadcast_by, p, i] {
-        const MessageId id = h.abcast(p).abroadcast(
+      env.set_timer(at, [&cluster, &broadcast_by, p, i] {
+        const MessageId id = cluster.node(p).abcast().abroadcast(
             bytes_of("m" + std::to_string(p) + "_" + std::to_string(i)));
         broadcast_by.emplace(id, p);
       });
@@ -94,18 +99,18 @@ TEST_P(AbcastProperties, HoldsUnderRandomTrafficAndCrashes) {
   for (std::uint32_t i = 0; i < param.crashes; ++i) {
     const ProcessId victim = param.n - i;  // pn, pn-1, ...
     crashed.insert(victim);
-    h.cluster().crash_at(milliseconds(300 + 150 * i), victim);
+    cluster.crash_at(milliseconds(300 + 150 * i), victim);
   }
 
-  h.run_for(seconds(12));
+  cluster.run_for(seconds(12));
 
   // --- Uniform total order.
-  EXPECT_TRUE(h.logs_prefix_consistent());
+  EXPECT_TRUE(cluster.prefix_consistent());
 
   // --- Uniform integrity: no duplicates, only broadcast ids.
   for (ProcessId p = 1; p <= param.n; ++p) {
     std::set<MessageId> seen;
-    for (const auto& d : h.log(p)) {
+    for (const auto& d : cluster.log(p)) {
       EXPECT_TRUE(seen.insert(d.id).second)
           << "duplicate delivery at p" << p;
       EXPECT_TRUE(broadcast_by.contains(d.id))
@@ -117,11 +122,11 @@ TEST_P(AbcastProperties, HoldsUnderRandomTrafficAndCrashes) {
   // every surviving process.
   std::set<MessageId> delivered_somewhere;
   for (ProcessId p = 1; p <= param.n; ++p)
-    for (const auto& d : h.log(p)) delivered_somewhere.insert(d.id);
+    for (const auto& d : cluster.log(p)) delivered_somewhere.insert(d.id);
   for (const MessageId& id : delivered_somewhere) {
     for (ProcessId p = 1; p <= param.n; ++p) {
       if (crashed.contains(p)) continue;
-      EXPECT_TRUE(h.delivered(p, id))
+      EXPECT_TRUE(cluster.delivered(p, id))
           << "p" << p << " missing " << to_string(id);
     }
   }
@@ -132,7 +137,7 @@ TEST_P(AbcastProperties, HoldsUnderRandomTrafficAndCrashes) {
     if (crashed.contains(origin)) continue;
     for (ProcessId p = 1; p <= param.n; ++p) {
       if (crashed.contains(p)) continue;
-      EXPECT_TRUE(h.delivered(p, id))
+      EXPECT_TRUE(cluster.delivered(p, id))
           << "validity: p" << p << " missing " << to_string(id)
           << " from correct p" << origin;
     }

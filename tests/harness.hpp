@@ -1,18 +1,13 @@
-// Shared test fixture: a thin shim over the `ibc::Cluster` facade that
-// preserves the historical harness vocabulary (broadcast/log/delivered/
-// logs_prefix_consistent) for the suites built on it.
+// Shared test helper: a one-line reproduction hint for randomized tests.
+// Tests wire their processes through the `ibc::Cluster` facade
+// (runtime/cluster.hpp) directly.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cerrno>  // program_invocation_short_name (glibc)
+#include <cstdint>
 #include <string>
-#include <string_view>
-#include <vector>
-
-#include "abcast/stack_builder.hpp"
-#include "runtime/cluster.hpp"
-#include "util/bytes.hpp"
 
 namespace ibc::test {
 
@@ -38,54 +33,5 @@ inline std::string repro_hint(std::uint64_t seed) {
   }
   return hint;
 }
-
-/// A group of n processes all running the same stack configuration on a
-/// simulated network, with every A-delivery recorded per process (the
-/// facade's built-in recorder).
-class AbcastHarness {
- public:
-  using Delivery = ibc::Cluster::Delivery;
-
-  AbcastHarness(std::uint32_t n, const abcast::StackConfig& config,
-                const net::NetModel& model = net::NetModel::fast_test(),
-                std::uint64_t seed = 42)
-      : cluster_(ibc::ClusterOptions{}
-                     .with_n(n)
-                     .with_stack(config)
-                     .with_model(model)
-                     .with_seed(seed)) {}
-
-  ibc::Cluster& cluster() { return cluster_; }
-  abcast::ProcessStack& stack(ProcessId p) {
-    return cluster_.node(p).stack();
-  }
-  core::AbcastService& abcast(ProcessId p) {
-    return cluster_.node(p).abcast();
-  }
-  std::vector<Delivery> log(ProcessId p) const { return cluster_.log(p); }
-  std::uint32_t n() const { return cluster_.n(); }
-
-  /// Broadcasts a payload from p at the current instant.
-  MessageId broadcast(ProcessId p, std::string_view payload) {
-    return cluster_.node(p).abroadcast(payload);
-  }
-
-  /// Runs the simulation for `d`.
-  void run_for(Duration d) { cluster_.run_for(d); }
-
-  /// True iff every pair of delivery logs is prefix-consistent (Uniform
-  /// Total Order).
-  bool logs_prefix_consistent() const {
-    return cluster_.prefix_consistent();
-  }
-
-  /// True iff process p delivered the given id.
-  bool delivered(ProcessId p, const MessageId& id) const {
-    return cluster_.delivered(p, id);
-  }
-
- private:
-  ibc::Cluster cluster_;
-};
 
 }  // namespace ibc::test

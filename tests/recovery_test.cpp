@@ -7,6 +7,7 @@
 // record, empty log, snapshot + tail, double restart.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <set>
@@ -414,6 +415,59 @@ TEST(Recovery, TcpRestartRejoinsExactlyOnce) {
   const ClusterStats stats = cluster.stats();
   EXPECT_GT(stats.log_appends, 0u);
   EXPECT_GT(stats.catchup_ids_fetched, 0u);
+}
+
+TEST(Recovery, TcpConcurrentRestartsReconnectToEachOther) {
+  // p2 and p3 crash together and restart at the same host time. Each
+  // restart used to redial only the ranks that were alive at that
+  // instant, so two ranks restarting at once skipped each other and
+  // never reconnected: each one's failure detector suspected the other
+  // for good. Both now publish a fresh port and dial every published
+  // peer, so at least one of the two reaches the other.
+  for (const std::uint64_t seed : {1u, 2u}) {
+    SCOPED_TRACE(test::repro_hint(seed));
+    // Declared before the cluster: p2's probe handler reads them until
+    // the cluster's reactors are joined.
+    const Bytes probe = bytes_of("p3-to-p2 probe");
+    std::atomic<bool> arrived{false};
+    Cluster cluster(ClusterOptions{}
+                        .with_n(5)
+                        .with_seed(seed)
+                        .on_tcp()
+                        .with_stack(recovery_stack())
+                        .with_recovery()
+                        .with_crash(milliseconds(100), 2)
+                        .with_crash(milliseconds(100), 3)
+                        .with_restart(milliseconds(400), 2)
+                        .with_restart(milliseconds(400), 3));
+    runtime::Host& host = cluster.host();
+    while (host.now() < milliseconds(1900)) cluster.run_for(milliseconds(20));
+    ASSERT_FALSE(host.crashed(2));
+    ASSERT_FALSE(host.crashed(3));
+
+    bool suspects_3 = true;
+    bool suspects_2 = true;
+    host.run_on(2, [&] {
+      suspects_3 = cluster.node(2).stack().failure_detector().is_suspected(3);
+    });
+    host.run_on(3, [&] {
+      suspects_2 = cluster.node(3).stack().failure_detector().is_suspected(2);
+    });
+    EXPECT_FALSE(suspects_3) << "restarted p2 still suspects restarted p3";
+    EXPECT_FALSE(suspects_2) << "restarted p3 still suspects restarted p2";
+
+    // A raw point-to-point frame p3 -> p2 must cross the link. p2's
+    // stack stops hearing anything from here on; the test ends with it.
+    host.run_on(2, [&] {
+      cluster.node(2).env().set_receive([&](ProcessId from, BytesView msg) {
+        if (from == 3 && bytes_equal(msg, probe))
+          arrived = true;
+      });
+    });
+    cluster.node(3).env().send(2, probe);
+    for (int i = 0; i < 100 && !arrived; ++i) cluster.run_for(milliseconds(20));
+    EXPECT_TRUE(arrived) << "p3's frame never reached p2";
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // messages identically on a 3-process simulated cluster.
 #include <gtest/gtest.h>
 
-#include "harness.hpp"
+#include "runtime/cluster.hpp"
 
 namespace ibc::test {
 namespace {
@@ -24,19 +24,22 @@ class SmokeTest
 
 TEST_P(SmokeTest, ThreeProcessesDeliverInTotalOrder) {
   const auto [variant, algo, rb] = GetParam();
-  AbcastHarness h(3, make_config(variant, algo, rb));
+  Cluster cluster(ClusterOptions{}
+                      .with_n(3)
+                      .with_stack(make_config(variant, algo, rb))
+                      .with_seed(42));
 
-  h.broadcast(1, "alpha");
-  h.broadcast(2, "bravo");
-  h.run_for(milliseconds(50));
-  h.broadcast(3, "charlie");
-  h.broadcast(1, "delta");
-  h.run_for(milliseconds(500));
+  cluster.node(1).abroadcast("alpha");
+  cluster.node(2).abroadcast("bravo");
+  cluster.run_for(milliseconds(50));
+  cluster.node(3).abroadcast("charlie");
+  cluster.node(1).abroadcast("delta");
+  cluster.run_for(milliseconds(500));
 
   for (ProcessId p = 1; p <= 3; ++p) {
-    EXPECT_EQ(h.log(p).size(), 4u) << "process " << p;
+    EXPECT_EQ(cluster.log(p).size(), 4u) << "process " << p;
   }
-  EXPECT_TRUE(h.logs_prefix_consistent());
+  EXPECT_TRUE(cluster.prefix_consistent());
 }
 
 INSTANTIATE_TEST_SUITE_P(

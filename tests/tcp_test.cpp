@@ -17,6 +17,7 @@
 #include "net/faults.hpp"
 #include "net/tcp/framing.hpp"
 #include "net/tcp/socket.hpp"
+#include "net/tcp/tcp_cluster.hpp"
 #include "net/tcp/tcp_process.hpp"
 #include "net/tcp/tcp_transport.hpp"
 #include "runtime/cluster.hpp"
@@ -640,12 +641,8 @@ TEST(TcpHandshake, SimultaneousDialsConvergeOnLowerRanksConnection) {
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  DialResult dial_a = dial_loopback_hello(port_b, 1, deadline);
-  DialResult dial_b = dial_loopback_hello(port_a, 2, deadline);
-  ASSERT_TRUE(dial_a.fd.valid());
-  ASSERT_TRUE(dial_b.fd.valid());
-  a.connect_peer(2, std::move(dial_a.fd));
-  b.connect_peer(1, std::move(dial_b.fd));
+  ASSERT_TRUE(a.dial(2, [&] { return std::optional(port_b); }, deadline));
+  ASSERT_TRUE(b.dial(1, [&] { return std::optional(port_a); }, deadline));
 
   std::mutex mu;
   std::vector<std::uint32_t> at1, at2;

@@ -1,8 +1,6 @@
 // Unit tests for util: serialization, RNG, statistics, formatting.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -176,36 +174,6 @@ TEST(Rng, ExponentialMeanIsPlausible) {
 
 // ---------------------------------------------------------------- stats
 
-TEST(OnlineStats, MeanVarianceMinMax) {
-  OnlineStats s;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(OnlineStats, MergeMatchesSequential) {
-  OnlineStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double v = std::sin(i) * 10;
-    (i % 2 == 0 ? a : b).add(v);
-    all.add(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
 TEST(Samples, QuantilesExact) {
   Samples s;
   for (int i = 100; i >= 1; --i) s.add(i);  // 1..100, reversed insertion
@@ -220,20 +188,6 @@ TEST(Samples, QuantilesExact) {
 TEST(Samples, EmptyQuantileIsZero) {
   Samples s;
   EXPECT_EQ(s.quantile(0.5), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 3);  // [0,10) [10,20) [20,30)
-  h.add(-1);                  // underflow
-  h.add(5);
-  h.add(15);
-  h.add(25);
-  h.add(1000);  // overflow
-  EXPECT_EQ(h.total(), 5u);
-  const std::string dump = h.to_string();
-  EXPECT_NE(dump.find("[0, 10): 1"), std::string::npos);
-  EXPECT_NE(dump.find("[20, 30): 1"), std::string::npos);
-  EXPECT_NE(dump.find("+inf"), std::string::npos);
 }
 
 // ----------------------------------------------------------------- time

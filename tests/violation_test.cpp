@@ -21,7 +21,7 @@
 // messages are ordered and delivered.
 #include <gtest/gtest.h>
 
-#include "harness.hpp"
+#include "runtime/cluster.hpp"
 
 namespace ibc::test {
 namespace {
@@ -38,6 +38,11 @@ net::NetModel violation_model() {
   m.cpu_per_byte_send = 0;
   m.cpu_per_byte_recv = 0;
   return m;
+}
+
+ClusterOptions violation_cluster(const abcast::StackConfig& stack) {
+  return ClusterOptions{}.with_n(3).with_stack(stack).with_model(
+      violation_model()).with_seed(3);
 }
 
 abcast::StackConfig stack_for(abcast::Variant variant) {
@@ -60,23 +65,23 @@ struct ScenarioResult {
 };
 
 ScenarioResult run_scenario(abcast::Variant variant) {
-  AbcastHarness h(3, stack_for(variant), violation_model(), /*seed=*/3);
+  Cluster cluster(violation_cluster(stack_for(variant)));
 
   ScenarioResult res;
-  res.big = h.abcast(2).abroadcast(Bytes(200'000, 0xBB));
-  h.run_for(milliseconds(1));
-  res.small1 = h.broadcast(1, "from p1");
-  res.small3 = h.broadcast(3, "from p3");
+  res.big = cluster.node(2).abroadcast(Bytes(200'000, 0xBB));
+  cluster.run_for(milliseconds(1));
+  res.small1 = cluster.node(1).abroadcast("from p1");
+  res.small3 = cluster.node(3).abroadcast("from p3");
   // p2 dies with m still on its NIC, after the id-only consensus had
   // ample time to finish.
-  h.cluster().crash_at(milliseconds(8), 2);
-  h.run_for(seconds(10));
+  cluster.crash_at(milliseconds(8), 2);
+  cluster.run_for(seconds(10));
 
-  res.small1_delivered_at_p1 = h.delivered(1, res.small1);
-  res.small3_delivered_at_p3 = h.delivered(3, res.small3);
+  res.small1_delivered_at_p1 = cluster.delivered(1, res.small1);
+  res.small3_delivered_at_p3 = cluster.delivered(3, res.small3);
   res.big_delivered_anywhere =
-      h.delivered(1, res.big) || h.delivered(3, res.big);
-  if (const auto* ord = h.stack(1).ordering())
+      cluster.delivered(1, res.big) || cluster.delivered(3, res.big);
+  if (const auto* ord = cluster.node(1).stack().ordering())
     res.blocked_head_p1 = ord->blocked_head();
   return res;
 }
@@ -115,18 +120,18 @@ TEST(ValidityViolation, UrbStackAlsoSurvives) {
   // consensus at all.
   auto cfg = stack_for(abcast::Variant::kIdsPlain);
   cfg.rb = abcast::RbKind::kUniform;
-  AbcastHarness h(3, cfg, violation_model(), /*seed=*/3);
+  Cluster cluster(violation_cluster(cfg));
 
-  h.abcast(2).abroadcast(Bytes(200'000, 0xBB));
-  h.run_for(milliseconds(1));
-  const MessageId small1 = h.broadcast(1, "from p1");
-  const MessageId small3 = h.broadcast(3, "from p3");
-  h.cluster().crash_at(milliseconds(8), 2);
-  h.run_for(seconds(10));
+  cluster.node(2).abroadcast(Bytes(200'000, 0xBB));
+  cluster.run_for(milliseconds(1));
+  const MessageId small1 = cluster.node(1).abroadcast("from p1");
+  const MessageId small3 = cluster.node(3).abroadcast("from p3");
+  cluster.crash_at(milliseconds(8), 2);
+  cluster.run_for(seconds(10));
 
-  EXPECT_TRUE(h.delivered(1, small1));
-  EXPECT_TRUE(h.delivered(3, small3));
-  EXPECT_TRUE(h.logs_prefix_consistent());
+  EXPECT_TRUE(cluster.delivered(1, small1));
+  EXPECT_TRUE(cluster.delivered(3, small3));
+  EXPECT_TRUE(cluster.prefix_consistent());
 }
 
 }  // namespace

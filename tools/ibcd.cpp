@@ -48,11 +48,9 @@
 
 #include "abcast/stack_builder.hpp"
 #include "net/faults.hpp"
-#include "net/tcp/socket.hpp"
 #include "net/tcp/tcp_process.hpp"
 #include "recovery/recovery.hpp"
 #include "store/storage.hpp"
-#include "util/rng.hpp"
 #include "util/types.hpp"
 
 namespace {
@@ -114,53 +112,6 @@ bool parse(int argc, char** argv, Options& opt) {
   }
   return opt.rank >= 1 && opt.n >= 1 && opt.rank <= opt.n &&
          !opt.dir.empty() && !opt.store.empty();
-}
-
-struct DialOutcome {
-  Fd fd;
-  int attempts = 0;
-};
-
-/// Dials rank `q` with capped exponential backoff (2 ms doubling to
-/// 250 ms, jittered) until `deadline`, re-reading `port.<q>` every
-/// attempt: after a storm of concurrent relaunches each rank's first
-/// reads see its peers' *stale* ports (dead listeners that refuse
-/// forever), so a fixed-port retry loop could never converge. The
-/// attempt count comes back for the caller's diagnostics either way.
-DialOutcome dial_peer(const Options& opt, ProcessId q,
-                      std::chrono::steady_clock::time_point deadline) {
-  DialOutcome out;
-  std::uint64_t jitter_state =
-      (static_cast<std::uint64_t>(opt.rank) << 32) ^
-      static_cast<std::uint64_t>(q) ^
-      static_cast<std::uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count());
-  std::int64_t backoff_us = 2000;
-  while (true) {
-    ++out.attempts;
-    if (const auto port = read_port(opt.dir, q)) {
-      Fd fd = try_connect_loopback(*port);
-      if (fd.valid()) {
-        const std::uint32_t hello = opt.rank;
-        if (::write(fd.get(), &hello, sizeof hello) == sizeof hello) {
-          std::fprintf(stderr,
-                       "ibcd: rank %u connected to rank %u on port %u "
-                       "after %d attempt(s)\n",
-                       opt.rank, q, *port, out.attempts);
-          out.fd = std::move(fd);
-          return out;
-        }
-        fd.reset();  // reset between connect and hello: keep retrying
-      }
-    }
-    if (std::chrono::steady_clock::now() >= deadline) return out;
-    const std::int64_t jitter =
-        static_cast<std::int64_t>(splitmix64(jitter_state) %
-                                  static_cast<std::uint64_t>(backoff_us)) -
-        backoff_us / 2;
-    std::this_thread::sleep_for(std::chrono::microseconds(backoff_us + jitter));
-    backoff_us = std::min<std::int64_t>(backoff_us * 2, 250'000);
-  }
 }
 
 /// Opens this incarnation's delivery log: the first free
@@ -271,37 +222,33 @@ int main(int argc, char** argv) {
     return 3;
   }
 
-  // Mesh wiring: first boot dials every lower rank (one connection per
-  // pair; the higher rank's reactor accepts). A restarted rank dials
-  // ALL peers — its old connections died with the old incarnation — and
-  // skips any that stay unreachable (they are dead; catch-up needs only
-  // a majority).
-  if (!restarted) {
-    for (ProcessId q = 1; q < opt.rank; ++q) {
-      DialOutcome dial = dial_peer(opt, q, deadline);
-      if (!dial.fd.valid()) {
-        std::fprintf(stderr,
-                     "ibcd: rank %u failed to reach rank %u after %d "
-                     "bounded-backoff attempt(s)\n",
-                     opt.rank, q, dial.attempts);
-        return 3;
-      }
-      host.connect_peer(q, std::move(dial.fd));
-    }
-  } else {
-    for (ProcessId q = 1; q <= opt.n; ++q) {
-      if (q == opt.rank) continue;
-      const auto dial_deadline = std::chrono::steady_clock::now() +
-                                 std::chrono::milliseconds(3000);
-      DialOutcome dial = dial_peer(opt, q, std::min(deadline, dial_deadline));
-      if (dial.fd.valid()) {
-        host.connect_peer(q, std::move(dial.fd));
-      } else {
-        std::fprintf(stderr,
-                     "ibcd: rank %u skipping dead rank %u after %d "
-                     "attempt(s)\n",
-                     opt.rank, q, dial.attempts);
-      }
+  // Mesh wiring (TcpProcess's rule): first boot dials every lower rank
+  // and fails if one stays unreachable. A restarted rank dials ALL peers
+  // — its old connections died with the old incarnation — and skips any
+  // that stay unreachable (they are dead; catch-up needs only a
+  // majority). Port files are re-read on every attempt: after a storm of
+  // concurrent relaunches the first reads may name dead listeners.
+  for (ProcessId q = 1; q <= (restarted ? opt.n : opt.rank - 1); ++q) {
+    if (q == opt.rank) continue;
+    const auto dial_deadline =
+        restarted ? std::min(deadline, std::chrono::steady_clock::now() +
+                                           std::chrono::milliseconds(3000))
+                  : deadline;
+    const std::optional<int> attempts =
+        host.dial(q, [&] { return read_port(opt.dir, q); }, dial_deadline);
+    if (attempts) {
+      std::fprintf(stderr,
+                   "ibcd: rank %u connected to rank %u after %d attempt(s)\n",
+                   opt.rank, q, *attempts);
+    } else if (restarted) {
+      std::fprintf(stderr, "ibcd: rank %u skipping dead rank %u\n",
+                   opt.rank, q);
+    } else {
+      std::fprintf(stderr,
+                   "ibcd: rank %u failed to reach rank %u within the "
+                   "deadline\n",
+                   opt.rank, q);
+      return 3;
     }
   }
 
@@ -328,7 +275,7 @@ int main(int argc, char** argv) {
   // faulted — the adversary attacks a standing group, as in the paper's
   // model, not the bootstrap.
   if (!fault_plan.empty()) {
-    host.arm_fault_plan(fault_plan);
+    host.arm_fault_plan(fault_plan, host.now());
     std::fprintf(stderr, "ibcd: rank %u armed fault plan (%zu events)\n",
                  opt.rank, fault_plan.events.size());
   }
