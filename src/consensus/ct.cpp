@@ -14,6 +14,7 @@ enum MsgType : std::uint8_t {
   kNack = 4,      // phase 3: (r) -> coordinator
   kDecide = 5,    // (value), relayed on first receipt
   kAbstain = 6,   // (floor): sender votes in no instance k <= floor
+  kAbort = 7,     // phase 4: (r) -> others, round r got a nack
 };
 }  // namespace
 
@@ -178,17 +179,45 @@ void CtConsensus::phase3_reply(InstanceId k, Instance& inst, bool ack) {
     // Phase 4: collect replies (our own arrives via loopback).
     inst.wait = Wait::kAcks;
     coordinator_try_phase4(k, inst);
+  } else if (ack) {
+    // An acker stays in the round: its coordinator will decide or abort
+    // it, or fail, and opening round r+1 meanwhile only races the
+    // decision (D8).
+    inst.wait = Wait::kDecision;
+    try_leave_acked_round(k, inst);
   } else {
-    // Non-coordinators move on immediately; the round advance is deferred
-    // to keep recursion depth constant when several coordinators are
-    // suspected back-to-back.
-    inst.wait = Wait::kNone;
-    ctx_.defer([this, k, r] {
-      Instance& i = instance(k);
-      if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
-        enter_round(k, i, r + 1);
-    });
+    next_round(k, inst);
   }
+}
+
+void CtConsensus::try_leave_acked_round(InstanceId k, Instance& inst) {
+  if (inst.wait != Wait::kDecision) return;
+  const ProcessId coord = coord_of(inst.round);
+  // A restarted coordinator announces abstention from every instance
+  // its previous incarnation opened, so `abstains` covers restarts too.
+  if (inst.rounds[inst.round].aborted || detector_.is_suspected(coord) ||
+      abstains(coord, k)) {
+    next_round(k, inst);
+  }
+}
+
+void CtConsensus::next_round(InstanceId k, Instance& inst) {
+  // The advance is deferred to keep recursion depth constant when
+  // several coordinators are suspected back-to-back.
+  const std::uint32_t r = inst.round;
+  inst.wait = Wait::kNone;
+  ctx_.defer([this, k, r] {
+    Instance& i = instance(k);
+    if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
+      enter_round(k, i, r + 1);
+  });
+}
+
+void CtConsensus::recheck_coordinator_wait(InstanceId k, Instance& inst) {
+  if (inst.wait == Wait::kProposal)
+    try_phase3(k, inst);
+  else if (inst.wait == Wait::kDecision)
+    try_leave_acked_round(k, inst);
 }
 
 void CtConsensus::coordinator_try_phase4(InstanceId k, Instance& inst) {
@@ -201,12 +230,13 @@ void CtConsensus::coordinator_try_phase4(InstanceId k, Instance& inst) {
     send_decide(k, value, ctx_.self());
     decide_instance(k, inst, value, ctx_.self());
   } else if (rd.nacked) {
-    inst.wait = Wait::kNone;
-    ctx_.defer([this, k, r] {
-      Instance& i = instance(k);
-      if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
-        enter_round(k, i, r + 1);
-    });
+    // Release the ackers waiting in kDecision: this round never decides.
+    Writer w(16);
+    w.u8(kAbort);
+    w.u64(k);
+    w.u32(r);
+    ctx_.send_to_others(w.take());
+    next_round(k, inst);
   }
 }
 
@@ -227,6 +257,7 @@ void CtConsensus::decide_instance(InstanceId k, Instance& inst,
   if (inst.decided) return;
   inst.decided = true;
   inst.decision = to_bytes(value);
+  Bytes().swap(inst.estimate);  // only `decision` is read from here on
   inst.wait = Wait::kNone;
   inst.rounds.clear();
   ctx_.log().logf(LogLevel::kDebug, "k=%llu decided (%zu bytes)",
@@ -235,12 +266,9 @@ void CtConsensus::decide_instance(InstanceId k, Instance& inst,
 }
 
 void CtConsensus::on_suspicion(ProcessId p) {
-  // Wake every instance blocked in Phase 3 on this coordinator.
+  // Wake every instance blocked on this coordinator.
   for (auto& [k, inst] : instances_) {
-    if (inst.proposed && !inst.decided && inst.wait == Wait::kProposal &&
-        coord_of(inst.round) == p) {
-      try_phase3(k, inst);
-    }
+    if (coord_of(inst.round) == p) recheck_coordinator_wait(k, inst);
   }
 }
 
@@ -251,15 +279,12 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
   if (type == kAbstain) {
     // Here the u64 is the sender's participation floor, not an instance
     // id: `from` votes in no instance <= k. Record it and wake every
-    // instance blocked in Phase 3 on `from` as coordinator.
+    // instance blocked on `from` as coordinator.
     if (k > abstain_floor_[from]) {
       abstain_floor_[from] = k;
       for (auto& [ki, blocked] : instances_) {
-        if (ki <= k && blocked.proposed && !blocked.decided &&
-            blocked.wait == Wait::kProposal &&
-            coord_of(blocked.round) == from) {
-          try_phase3(ki, blocked);
-        }
+        if (ki <= k && coord_of(blocked.round) == from)
+          recheck_coordinator_wait(ki, blocked);
       }
     }
     return;
@@ -332,6 +357,14 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
         rd.nacked = true;
       if (inst.proposed && round == inst.round)
         coordinator_try_phase4(k, inst);
+      break;
+    }
+    case kAbort: {
+      const std::uint32_t round = r.u32();
+      if (round < inst.round) return;  // stale
+      inst.rounds[round].aborted = true;
+      if (inst.proposed && round == inst.round)
+        try_leave_acked_round(k, inst);
       break;
     }
     case kDecide:

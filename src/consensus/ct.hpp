@@ -12,10 +12,17 @@
 //   Phase 3  every process (the coordinator included — it receives its
 //            own proposal through the loopback path) either receives the
 //            proposal and replies ack/nack, or suspects the coordinator
-//            (♦S) and replies nack;
+//            (♦S) and replies nack. A process that nacks moves to the
+//            next round at once; a non-coordinator that acks stays in
+//            the round (`Wait::kDecision`) until the DECIDE arrives, the
+//            coordinator aborts the round, or the coordinator is
+//            suspected or announces abstention, as a restarted one does
+//            (docs/PROTOCOL.md D8);
 //   Phase 4  the coordinator waits for ⌈(n+1)/2⌉ acks (→ R-broadcast a
-//            DECIDE carrying estimate_c) or a single nack (→ next round).
+//            DECIDE carrying estimate_c) or a single nack (→ send ABORT
+//            to all, next round).
 //
+// So a failure-free instance runs exactly one round at every process.
 // Requires f < n/2. DECIDE dissemination is reliable-broadcast by
 // relay-on-first-receipt, so a decision survives the coordinator crashing
 // mid-broadcast.
@@ -86,6 +93,9 @@ class CtConsensus final : public runtime::Layer, public Consensus {
     // Phase 4 (coordinator): replies.
     std::unordered_set<ProcessId> acks;
     bool nacked = false;
+    // The coordinator abandoned this round (kAbort). Kept per round, so
+    // an abort that overtakes the proposal still releases the acker.
+    bool aborted = false;
   };
 
   enum class Wait : std::uint8_t {
@@ -93,6 +103,7 @@ class CtConsensus final : public runtime::Layer, public Consensus {
     kEstimates,  // coordinator in Phase 2
     kProposal,   // Phase 3
     kAcks,       // coordinator in Phase 4
+    kDecision,   // acked; waits for the round's decision or abort (D8)
   };
 
   struct Instance {
@@ -116,7 +127,12 @@ class CtConsensus final : public runtime::Layer, public Consensus {
   void coordinator_try_phase2(InstanceId k, Instance& inst);
   void try_phase3(InstanceId k, Instance& inst);
   void phase3_reply(InstanceId k, Instance& inst, bool ack);
+  void try_leave_acked_round(InstanceId k, Instance& inst);
   void coordinator_try_phase4(InstanceId k, Instance& inst);
+  void next_round(InstanceId k, Instance& inst);
+  /// Re-checks an instance blocked on its round's coordinator, after a
+  /// suspicion or an abstain announcement.
+  void recheck_coordinator_wait(InstanceId k, Instance& inst);
   void decide_instance(InstanceId k, Instance& inst, BytesView value,
                        ProcessId relay_skip);
   void on_suspicion(ProcessId p);

@@ -5,11 +5,15 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "consensus/ct.hpp"
 #include "consensus/mr.hpp"
 #include "fd/perfect_fd.hpp"
+#include "harness.hpp"
+#include "runtime/cluster.hpp"
 #include "runtime/sim_cluster.hpp"
 
 namespace ibc::consensus {
@@ -20,6 +24,12 @@ enum class Algo { kCt, kMr };
 struct Fixture {
   explicit Fixture(Algo algo, std::uint32_t n = 3, CtConfig ct_cfg = {},
                    MrConfig mr_cfg = {})
+      : Fixture(algo, n, [ct_cfg](ProcessId) { return ct_cfg; }, mr_cfg) {}
+
+  /// `ct_cfg_of(p)` is process p's CT configuration.
+  Fixture(Algo algo, std::uint32_t n,
+          const std::function<CtConfig(ProcessId)>& ct_cfg_of,
+          MrConfig mr_cfg = {})
       : cluster(n, net::NetModel::fast_test(), 41), decisions(n + 1) {
     for (ProcessId p = 1; p <= n; ++p) {
       stacks.push_back(std::make_unique<runtime::Stack>(cluster.env(p)));
@@ -27,7 +37,8 @@ struct Fixture {
           cluster.env(p), cluster.network(), milliseconds(2)));
       if (algo == Algo::kCt) {
         engines.push_back(std::make_unique<CtConsensus>(
-            *stacks.back(), runtime::kLayerConsensus, *fds.back(), ct_cfg));
+            *stacks.back(), runtime::kLayerConsensus, *fds.back(),
+            ct_cfg_of(p)));
       } else {
         engines.push_back(std::make_unique<MrConsensus>(
             *stacks.back(), runtime::kLayerConsensus, *fds.back(), mr_cfg));
@@ -41,6 +52,9 @@ struct Fixture {
   }
 
   Consensus& engine(ProcessId p) { return *engines[p - 1]; }
+  CtConsensus& ct(ProcessId p) {
+    return dynamic_cast<CtConsensus&>(*engines[p - 1]);
+  }
 
   std::optional<Bytes> decision(ProcessId p, InstanceId k) const {
     const auto it = decisions[p].find(k);
@@ -238,6 +252,122 @@ TEST(CtConsensus, DecideFloodsPastCrashedCoordinator) {
   ASSERT_TRUE(decided[1].has_value());
   ASSERT_TRUE(decided[3].has_value());
   EXPECT_TRUE(bytes_equal(*decided[1], *decided[3]));
+}
+
+// ------------------------------------- CT: ackers wait for the decision
+//
+// A non-coordinator that acked round r stays in r until the DECIDE, a
+// kAbort from the coordinator, or the coordinator's suspicion or
+// abstention (docs/PROTOCOL.md D8). Failure-free instances therefore run
+// one round everywhere, and each exit carries liveness in its own case.
+
+TEST(CtAckedWait, FailureFreeInstancesRunOneRoundEverywhere) {
+  for (const std::uint32_t n : {3u, 5u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Fixture f(Algo::kCt, n);
+    constexpr InstanceId kInstances = 5;
+    for (InstanceId k = 1; k <= kInstances; ++k)
+      for (ProcessId p = 1; p <= n; ++p)
+        f.engine(p).propose(k, bytes_of("k" + std::to_string(k) + "p" +
+                                        std::to_string(p)));
+    f.cluster.run_for(seconds(2));
+    for (InstanceId k = 1; k <= kInstances; ++k) {
+      EXPECT_TRUE(f.agreed(k).has_value()) << "instance " << k;
+      for (ProcessId p = 1; p <= n; ++p)
+        EXPECT_EQ(f.ct(p).round_of(k), 1u) << "p" << p << " instance " << k;
+    }
+    for (ProcessId p = 1; p <= n; ++p)
+      EXPECT_EQ(f.engine(p).stats().rounds_started, kInstances) << "p" << p;
+  }
+}
+
+TEST(CtAckedWait, FailureFreeClusterStartsOneRoundPerProcessAndInstance) {
+  for (const std::uint32_t n : {3u, 5u}) {
+    SCOPED_TRACE(test::repro_hint(5));
+    Cluster cluster(ClusterOptions{}.with_n(n).with_seed(5));
+    for (int i = 0; i < 20; ++i) {
+      cluster.node(1 + static_cast<ProcessId>(i) % n)
+          .abroadcast("m" + std::to_string(i));
+      cluster.run_for(milliseconds(3));
+    }
+    cluster.run_until_quiesced();
+    EXPECT_TRUE(cluster.prefix_consistent());
+    const ClusterStats stats = cluster.stats();
+    EXPECT_EQ(stats.total_deliveries, 20u * n);
+    EXPECT_GT(stats.instances_completed, 0u);
+    EXPECT_EQ(stats.consensus_rounds, n * stats.instances_completed)
+        << "n=" << n;
+  }
+}
+
+TEST(CtAckedWait, NackBeforeAckMajorityAbortsTheRound) {
+  // n=5, round-1 coordinator p2. p4 and p5 refuse the first proposal
+  // they see, and their links to p2 are faster than p1's and p3's, so
+  // p2 collects a nack before the ack majority and abandons round 1.
+  // p1 and p3 already acked; only the kAbort moves them to round 2,
+  // whose coordinator is p3 — without it p3 never leaves round 1 and
+  // p2, p4 and p5 wait for its proposal forever (nobody is suspected).
+  constexpr std::uint32_t n = 5;
+  Fixture f(Algo::kCt, n, [](ProcessId p) {
+    CtConfig cfg;
+    if (p >= 4) {
+      cfg.accept_proposal = [refused = false](InstanceId,
+                                              BytesView) mutable {
+        return std::exchange(refused, true);
+      };
+    }
+    return cfg;
+  });
+  net::FaultPlan slow_acks;
+  for (const ProcessId slow : {1u, 3u}) {
+    net::FaultEvent delay;
+    delay.kind = net::FaultKind::kDelay;
+    delay.until = seconds(10);
+    delay.src = slow;
+    delay.dst = 2;
+    delay.extra = milliseconds(5);
+    slow_acks.events.push_back(delay);
+  }
+  f.cluster.network().set_fault_plan(slow_acks);
+  for (ProcessId p = 1; p <= n; ++p)
+    f.engine(p).propose(1, bytes_of("v" + std::to_string(p)));
+  f.cluster.run_for(seconds(2));
+
+  const auto value = f.agreed(1);
+  ASSERT_TRUE(value.has_value()) << "the aborted round wedged the ackers";
+  EXPECT_TRUE(bytes_equal(*value, bytes_of("v2")));
+  for (ProcessId p = 1; p <= n; ++p)
+    EXPECT_EQ(f.ct(p).round_of(1), 2u) << "p" << p;
+  EXPECT_EQ(f.ct(4).stats().proposals_refused, 1u);
+}
+
+TEST(CtAckedWait, AckersLeaveOnSuspicionWhenTheDecideNeverLeaves) {
+  // The round-1 coordinator p2 collects its ack majority and crashes the
+  // moment it hands its first DECIDE to the network, so no copy leaves.
+  // p1 and p3 acked and wait for that decision; only the suspicion of
+  // p2 moves them on. Round 2 must decide the value p2 decided: both
+  // adopted it with timestamp 1, which locks it.
+  Fixture f(Algo::kCt, 3);
+  f.cluster.network().set_sent_hook(
+      [&f](ProcessId src, ProcessId, BytesView msg) {
+        Reader r(msg);
+        if (src == 2 && r.u16() == runtime::kLayerConsensus &&
+            r.u8() == 5 /* kDecide */) {
+          f.cluster.network().crash(2);
+        }
+      });
+  for (ProcessId p = 1; p <= 3; ++p)
+    f.engine(p).propose(1, bytes_of("v" + std::to_string(p)));
+  f.cluster.run_for(seconds(2));
+
+  ASSERT_TRUE(f.cluster.network().crashed(2));
+  const auto coordinator = f.decision(2, 1);
+  ASSERT_TRUE(coordinator.has_value());
+  const auto value = f.agreed(1);
+  ASSERT_TRUE(value.has_value()) << "ackers never left the dead round";
+  EXPECT_TRUE(bytes_equal(*value, *coordinator));
+  EXPECT_EQ(f.ct(1).round_of(1), 2u);
+  EXPECT_EQ(f.ct(3).round_of(1), 2u);
 }
 
 // -------------------------------------------------------- MR specifics

@@ -396,6 +396,48 @@ TEST(Recovery, ConcurrentRestartsCatchUpTogether) {
   EXPECT_GT(cluster.stats().catchup_ids_fetched, 0u);
 }
 
+TEST(Recovery, RestartedCoordinatorReleasesItsAckersOnBothHosts) {
+  // Every ack reaches the round-1 coordinator p2 30 ms late, so p1 and
+  // p3 spend most of each instance acked and waiting for p2's decision
+  // (CT's kDecision wait, docs/PROTOCOL.md D8). p2 crashes amid that
+  // and restarts 50 ms later, well inside the 200 ms FD timeout: no
+  // suspicion ever releases the waiters. The new incarnation's abstain
+  // announcement must, or ordering stops at the instance p2 held.
+  for (const runtime::HostKind host :
+       {runtime::HostKind::kSim, runtime::HostKind::kTcp}) {
+    SCOPED_TRACE(host == runtime::HostKind::kSim ? "sim" : "tcp");
+    SCOPED_TRACE(test::repro_hint(17));
+    ClusterOptions options = ClusterOptions{}
+                                 .with_n(3)
+                                 .with_seed(17)
+                                 .with_host(host)
+                                 .with_stack(recovery_stack())
+                                 .with_recovery();
+    for (const ProcessId acker : {1u, 3u}) {
+      net::FaultEvent slow_ack;
+      slow_ack.kind = net::FaultKind::kDelay;
+      slow_ack.until = seconds(60);
+      slow_ack.src = acker;
+      slow_ack.dst = 2;
+      slow_ack.extra = milliseconds(30);
+      options.with_fault(slow_ack);
+    }
+    Cluster cluster(options);
+    drive_load(cluster, /*rounds=*/10, milliseconds(10));
+    cluster.crash(2);
+    cluster.run_for(milliseconds(50));
+    cluster.restart(2);
+    drive_load(cluster, /*rounds=*/10, milliseconds(10));
+    cluster.run_until_quiesced(milliseconds(500), seconds(30));
+
+    expect_full_recovery(cluster, 2);
+    const std::vector<MessageId> reference = ids_of(cluster.log(1));
+    EXPECT_EQ(ids_of(cluster.log(3)), reference);
+    // 60 broadcasts in all; a wedge at the restart stops near 30.
+    EXPECT_GE(reference.size(), 50u) << "ordering stopped at the restart";
+  }
+}
+
 TEST(Recovery, TcpRestartRejoinsExactlyOnce) {
   SCOPED_TRACE(test::repro_hint(21));
   Cluster cluster(ClusterOptions{}
