@@ -44,11 +44,10 @@ int main(int argc, char** argv) {
     for (std::size_t ki = 0; ki < std::size(kinds); ++ki) {
       const auto& k = kinds[ki];
       workload::ExperimentConfig cfg;
-      cfg.n = n;
-      cfg.model = model;
-      cfg.stack = k.kind == abcast::RbKind::kUniform
-                      ? workload::ids_plain_ct(k.kind)
-                      : workload::indirect_ct(model, k.kind);
+      cfg.cluster.with_n(n).with_model(model).with_stack(
+          k.kind == abcast::RbKind::kUniform
+              ? workload::ids_plain_ct(k.kind)
+              : workload::indirect_ct(model, k.kind));
       cfg.payload_bytes = 64;
       cfg.throughput_msgs_per_sec = 100;
       cfg.warmup = seconds(1);
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
       // report per-abroadcast totals (the broadcast-layer delta between
       // rows is the quantity of interest).
       const double per_ab =
-          static_cast<double>(r.messages_sent) /
+          static_cast<double>(r.stats.messages_sent) /
           static_cast<double>(r.broadcasts_measured > 0
                                   ? r.broadcasts_measured
                                   : 1);

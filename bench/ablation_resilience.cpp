@@ -32,17 +32,16 @@ int main(int argc, char** argv) {
       std::string cells[2];
       for (int a = 0; a < 2; ++a) {
         workload::ExperimentConfig cfg;
-        cfg.n = n;
-        cfg.model = model;
-        cfg.stack = workload::indirect_ct(model, abcast::RbKind::kFloodN2);
-        if (a == 1) cfg.stack.algo = abcast::ConsensusAlgo::kMr;
+        cfg.cluster.with_n(n).with_model(model).with_stack(
+            workload::indirect_ct(model, abcast::RbKind::kFloodN2));
+        if (a == 1) cfg.cluster.stack.algo = abcast::ConsensusAlgo::kMr;
         cfg.payload_bytes = 16;
         cfg.throughput_msgs_per_sec = 100;
         cfg.warmup = seconds(3);
         cfg.measure = seconds(6);
         cfg.drain = seconds(4);
         for (std::uint32_t i = 0; i < f; ++i)
-          cfg.crashes.push_back({static_cast<ProcessId>(2 + i), seconds(1)});
+          cfg.cluster.with_crash(seconds(1), static_cast<ProcessId>(2 + i));
         const auto r = workload::run_experiment(cfg);
         char buf[64];
         const bool ok = r.undelivered == 0 && r.broadcasts_measured > 0;

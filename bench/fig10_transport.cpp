@@ -50,15 +50,13 @@ workload::ExperimentResult run_point(std::size_t batch_msgs,
                                      std::uint32_t window, double offered,
                                      const workload::SweepOptions& opt) {
   workload::ExperimentConfig cfg;
-  cfg.n = 3;
-  cfg.host = runtime::HostKind::kTcp;
-  cfg.stack = stack_for(batch_msgs, window);
+  cfg.cluster.on_tcp().with_seed(opt.seed).with_stack(
+      stack_for(batch_msgs, window));
   cfg.payload_bytes = kPayloadBytes;
   cfg.throughput_msgs_per_sec = offered;
   cfg.warmup = opt.warmup;
   cfg.measure = opt.measure;
   cfg.drain = opt.drain;
-  cfg.seed = opt.seed;
   const workload::ExperimentResult r = workload::run_experiment(cfg);
   IBC_ASSERT_MSG(r.total_order_ok, "total order violated in a bench run");
   return r;
@@ -88,12 +86,12 @@ Sustained sustained_throughput(std::size_t batch_msgs, std::uint32_t window,
     }
     out.measured = true;
     out.throughput = r.delivered_throughput;
-    out.frames_per_writev = r.frames_per_writev_avg;
+    out.frames_per_writev = r.stats.frames_per_writev_avg;
     out.wakeups_per_1k =
-        r.messages_sent == 0
+        r.stats.messages_sent == 0
             ? 0.0
-            : 1000.0 * static_cast<double>(r.wakeups) /
-                  static_cast<double>(r.messages_sent);
+            : 1000.0 * static_cast<double>(r.stats.wakeups) /
+                  static_cast<double>(r.stats.messages_sent);
   }
   return out;
 }

@@ -67,16 +67,13 @@ Sustained sustained_throughput(std::uint32_t n, runtime::HostKind host,
   out.ladder_capped = true;
   for (const double offered : ladder) {
     workload::ExperimentConfig cfg;
-    cfg.n = n;
-    cfg.host = host;
-    cfg.model = net::NetModel::setup1();
-    cfg.stack = stack_for(rb);
+    cfg.cluster.with_n(n).with_host(host).with_seed(opt.seed).with_stack(
+        stack_for(rb));
     cfg.payload_bytes = kPayloadBytes;
     cfg.throughput_msgs_per_sec = offered;
     cfg.warmup = opt.warmup;
     cfg.measure = opt.measure;
     cfg.drain = opt.drain;
-    cfg.seed = opt.seed;
     const workload::ExperimentResult r = workload::run_experiment(cfg);
     IBC_ASSERT_MSG(r.total_order_ok, "total order violated in a bench run");
     if (workload::point_saturated(r, opt)) {
@@ -85,8 +82,8 @@ Sustained sustained_throughput(std::uint32_t n, runtime::HostKind host,
     }
     out.measured = true;
     out.throughput = r.delivered_throughput;
-    out.sends_per_frame = r.rb_sends_per_frame_max;
-    out.hop_latency_ms = r.rb_hop_latency_max_ms;
+    out.sends_per_frame = r.stats.rb_sends_per_frame_max;
+    out.hop_latency_ms = r.stats.rb_hop_latency_max_ms;
   }
   return out;
 }

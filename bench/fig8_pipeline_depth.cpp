@@ -52,13 +52,14 @@ struct Scenario {
   runtime::HostKind host = runtime::HostKind::kSim;
 };
 
-abcast::StackConfig stack_for(bool tcp) {
+abcast::StackConfig stack_for(bool tcp, std::uint32_t w) {
   abcast::StackConfig config;  // indirect CT + RB-flood
+  config.pipeline_depth = w;
   if (tcp) {
     config.heartbeat.interval = milliseconds(20);
     config.heartbeat.initial_timeout = milliseconds(200);
   }
-  return config;  // the window comes from ClusterOptions::pipeline_depth
+  return config;
 }
 
 /// The sim panels run on a latency-dominated LAN: 1 ms propagation, no
@@ -76,8 +77,7 @@ Point run_point(const Scenario& sc, std::uint32_t w) {
   ClusterOptions options = ClusterOptions{}
                                .with_n(sc.n)
                                .with_seed(sc.seed)
-                               .with_stack(stack_for(tcp))
-                               .pipeline_depth(w)
+                               .with_stack(stack_for(tcp, w))
                                .with_model(sim_model())
                                .with_host(sc.host);
   const ProcessId crashed = sc.crash_coordinator ? 2 : kInvalidProcess;
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   workload::BenchReport report("fig8_pipeline_depth", argc, argv);
   report.meta("host", smoke ? "sim" : "sim + tcp");
   report.meta("n", "3");
-  report.meta("stack", abcast::describe(stack_for(false)));
+  report.meta("stack", abcast::describe(stack_for(false, 1)));
   const std::vector<double> windows = {1, 2, 4, 8};
 
   Scenario sim;

@@ -55,17 +55,14 @@ workload::ExperimentResult run_point(std::size_t batch_msgs,
                                      const workload::SweepOptions& opt,
                                      runtime::HostKind host) {
   workload::ExperimentConfig cfg;
-  cfg.n = 3;
-  cfg.host = host;
-  cfg.model = net::NetModel::setup1();
-  cfg.stack = stack_for(batch_msgs, window, cfg.model,
-                        host == runtime::HostKind::kTcp);
+  cfg.cluster.with_host(host).with_seed(opt.seed).with_stack(
+      stack_for(batch_msgs, window, cfg.cluster.model,
+                host == runtime::HostKind::kTcp));
   cfg.payload_bytes = kPayloadBytes;
   cfg.throughput_msgs_per_sec = offered;
   cfg.warmup = opt.warmup;
   cfg.measure = opt.measure;
   cfg.drain = opt.drain;
-  cfg.seed = opt.seed;
   const workload::ExperimentResult r = workload::run_experiment(cfg);
   IBC_ASSERT_MSG(r.total_order_ok, "total order violated in a bench run");
   return r;
@@ -92,7 +89,7 @@ Sustained sustained_throughput(std::size_t batch_msgs, std::uint32_t window,
       break;
     }
     out.throughput = r.achieved_throughput;
-    out.msgs_per_batch = r.msgs_per_batch_avg;
+    out.msgs_per_batch = r.stats.msgs_per_batch_avg;
   }
   return out;
 }

@@ -288,9 +288,8 @@ void BM_SimulatedAbcast(benchmark::State& state) {
   // point.
   for (auto _ : state) {
     workload::ExperimentConfig cfg;
-    cfg.n = 3;
-    cfg.stack.indirect.rcv_check_cost_per_id =
-        cfg.model.rcv_check_cost_per_id;
+    cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+        cfg.cluster.model.rcv_check_cost_per_id;
     cfg.payload_bytes = 64;
     cfg.throughput_msgs_per_sec = 100;
     cfg.warmup = 0;

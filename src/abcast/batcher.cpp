@@ -29,7 +29,7 @@ BatchView parse_batch(const Payload& frame) {
 Batcher::Batcher(runtime::Env& env, bcast::BroadcastService& rb,
                  const BatchConfig& config)
     : env_(env), rb_(rb), config_(config) {
-  IBC_REQUIRE_MSG(config_.max_msgs >= 1, "batch_max_msgs must be >= 1");
+  IBC_REQUIRE_MSG(config_.max_msgs >= 1, "batch.max_msgs must be >= 1");
   IBC_REQUIRE_MSG(config_.max_bytes >= 1, "batch_max_bytes must be >= 1");
 }
 

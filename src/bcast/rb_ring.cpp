@@ -99,7 +99,13 @@ void RbRing::on_message(ProcessId from, Reader& r) {
   }
 
   // First receipt: take responsibility — forward down the ring before
-  // delivering (RbFlood's relay-before-deliver discipline).
+  // delivering (RbFlood's relay-before-deliver discipline). Our own
+  // loopback is never a first receipt: broadcast() stores the frame
+  // before sending it, and a host drops the loopbacks a dead incarnation
+  // queued, so an unknown self frame would carry an empty blob from a
+  // previous life.
+  IBC_ASSERT_MSG(from != ctx_.self(),
+                 "RbRing: loopback of a frame this process never held");
   FrameState& state = frames_[key];
   state.payload = copy_payload(payload);
   state.visited = visited | bit(ctx_.self());

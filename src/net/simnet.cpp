@@ -19,6 +19,7 @@ SimNetwork::SimNetwork(sim::Scheduler& sched, std::uint32_t n,
       rng_(rng.fork("simnet")),
       adv_rng_(rng.fork("adversary")),
       crashed_(n + 1, false),
+      incarnation_(n + 1, 0),
       cpu_busy_until_(n + 1, 0),
       nics_(n + 1),
       sent_by_(n + 1, 0),
@@ -30,6 +31,12 @@ SimNetwork::SimNetwork(sim::Scheduler& sched, std::uint32_t n,
 Duration SimNetwork::draw_jitter() {
   if (model_.jitter <= 0) return 0;
   return rng_.next_in(0, model_.jitter);
+}
+
+bool SimNetwork::stale(ProcessId p, std::uint64_t incarnation) {
+  if (incarnation == incarnation_[p]) return false;
+  ++counters_.dropped_crash;
+  return true;
 }
 
 TimePoint SimNetwork::cpu_enqueue(ProcessId p, Duration cost) {
@@ -55,11 +62,15 @@ void SimNetwork::send(ProcessId src, ProcessId dst, Payload msg) {
   ++sent_by_[src];
   if (sent_hook_) sent_hook_(src, dst, msg);
 
+  const std::uint64_t incarnation = incarnation_[src];
   if (dst == src) {
     // Loopback: a flat CPU cost, no NIC, no propagation.
     const TimePoint done = cpu_enqueue(src, model_.self_delivery_cost);
-    sched_.schedule_at(done, [this, src, dst, msg = std::move(msg)] {
-      if (!crashed_[src]) deliver_now(src, dst, msg);
+    sched_.schedule_at(done, [this, src, dst, incarnation,
+                              msg = std::move(msg)] {
+      if (!crashed_[src] && !stale(src, incarnation)) {
+        deliver_now(src, dst, msg);
+      }
     });
     return;
   }
@@ -69,14 +80,16 @@ void SimNetwork::send(ProcessId src, ProcessId dst, Payload msg) {
       model_.send_overhead +
       static_cast<Duration>(msg.size()) * model_.cpu_per_byte_send;
   const TimePoint done = cpu_enqueue(src, cost);
-  sched_.schedule_at(done, [this, src, dst, msg = std::move(msg)] {
+  sched_.schedule_at(done, [this, src, dst, incarnation,
+                            msg = std::move(msg)] {
     // The CPU task dies with the process: a crash between enqueue and
-    // completion drops the message before it reaches the NIC.
+    // completion drops the message before it reaches the NIC, even if
+    // the process has restarted since.
     if (crashed_[src]) {
       ++counters_.dropped_crash;
       return;
     }
-    nic_add(src, dst, msg);
+    if (!stale(src, incarnation)) nic_add(src, dst, msg);
   });
 }
 
@@ -225,8 +238,11 @@ void SimNetwork::arrive(ProcessId src, ProcessId dst, Payload msg) {
       model_.recv_overhead +
       static_cast<Duration>(msg.size()) * model_.cpu_per_byte_recv;
   const TimePoint done = cpu_enqueue(dst, cost);
-  sched_.schedule_at(done, [this, src, dst, msg = std::move(msg)] {
-    if (!crashed_[dst]) deliver_now(src, dst, msg);
+  sched_.schedule_at(done, [this, src, dst, incarnation = incarnation_[dst],
+                            msg = std::move(msg)] {
+    if (!crashed_[dst] && !stale(dst, incarnation)) {
+      deliver_now(src, dst, msg);
+    }
   });
 }
 
@@ -274,7 +290,10 @@ void SimNetwork::restart(ProcessId p) {
   if (!crashed_[p]) return;
   crashed_[p] = false;
   // The new incarnation starts with an idle CPU; whatever was queued
-  // died with the old one (crash() already dropped the NIC).
+  // died with the old one (crash() already dropped the NIC). Those
+  // tasks are still in the scheduler: the new incarnation number makes
+  // them drop themselves when they fire.
+  ++incarnation_[p];
   cpu_busy_until_[p] = 0;
   for (std::size_t i = 0; i < restart_listeners_.size(); ++i) {
     restart_listeners_[i].second(p);

@@ -12,7 +12,10 @@
 // work and partially-transmitted NIC transfers are discarded, but messages
 // already fully on the wire (in propagation) still arrive — this mirrors a
 // host dying mid-TCP-stream and is what makes the paper's §2.2
-// validity-violation scenario reproducible.
+// validity-violation scenario reproducible. A restart does not revive the
+// discarded work: CPU tasks carry the incarnation that queued them, and a
+// task of an earlier incarnation drops itself (counted in
+// `dropped_crash`) instead of running in the new one.
 //
 // A `FaultPlan` (faults.hpp) turns the benign LAN hostile: scheduled
 // partitions (buffering or lossy), asymmetric one-way delays, and
@@ -91,11 +94,13 @@ class SimNetwork {
   void crash_at(TimePoint t, ProcessId p);
 
   /// Revives a crashed `p`: it may send and receive again, with a fresh
-  /// CPU queue. Messages that were in flight toward `p` at crash time
+  /// CPU queue. Messages that were on the wire toward `p` at crash time
   /// and arrive after the restart are delivered — to the *new*
   /// incarnation, which must treat them as arbitrarily delayed messages
-  /// (the asynchronous model already demands that). No-op if `p` is not
-  /// crashed. Restart listeners fire after the revival.
+  /// (the asynchronous model already demands that). Work the old
+  /// incarnation had queued on its CPU (receives, loopbacks, sends not
+  /// yet on the NIC) is dropped and counted in `dropped_crash`. No-op if
+  /// `p` is not crashed. Restart listeners fire after the revival.
   void restart(ProcessId p);
 
   bool crashed(ProcessId p) const;
@@ -164,6 +169,9 @@ class SimNetwork {
 
   /// Appends `cost` to p's CPU queue; returns the completion time.
   TimePoint cpu_enqueue(ProcessId p, Duration cost);
+  /// True iff a CPU task queued by incarnation `incarnation` of `p`
+  /// outlived it (p restarted since); counts the task in `dropped_crash`.
+  bool stale(ProcessId p, std::uint64_t incarnation);
 
   /// Adversary checkpoint between NIC and wire: applies the fault plan
   /// to one message (hold, drop, duplicate, delay) or hands it to
@@ -208,6 +216,7 @@ class SimNetwork {
   ListenerId next_listener_id_ = 1;
 
   std::vector<bool> crashed_;            // [1..n]
+  std::vector<std::uint64_t> incarnation_;  // [1..n]; bumped by restart
   std::vector<TimePoint> cpu_busy_until_;  // [1..n]
   std::vector<Nic> nics_;                // [1..n]
 

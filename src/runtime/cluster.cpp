@@ -28,7 +28,7 @@ std::unique_ptr<runtime::Host> make_host(const ClusterOptions& options) {
 
 Cluster::Cluster(const ClusterOptions& options)
     : host_(make_host(options)),
-      stack_config_(options.effective_stack()),
+      stack_config_(options.stack),
       record_deliveries_(options.record_deliveries),
       recovery_enabled_(options.recovery_enabled),
       recovery_config_(options.recovery) {
@@ -281,32 +281,19 @@ ClusterStats Cluster::stats() {
     stats.rb_hop_latency_max_ms =
         std::max(stats.rb_hop_latency_max_ms,
                  static_cast<double>(rb_hop_ns) / 1e6);
-    stats.log_appends += rec.log_appends;
-    stats.log_bytes += rec.log_bytes;
-    stats.fsyncs += rec.fsyncs;
-    stats.snapshot_count += rec.snapshot_count;
-    stats.catchup_ids_fetched += rec.catchup_ids_fetched;
-    stats.replay_ms += rec.replay_ms;
+    static_cast<recovery::Counters&>(stats) += rec;
   }
   stats.msgs_per_batch_avg =
       stats.batches_sent == 0
           ? 0.0
           : static_cast<double>(stats.msgs_batched) /
                 static_cast<double>(stats.batches_sent);
-  const runtime::HostCounters wire = host_->counters();
-  stats.messages_sent = wire.messages_sent;
-  stats.wire_bytes_sent = wire.wire_bytes_sent;
-  stats.writev_calls = wire.writev_calls;
-  stats.wakeups = wire.wakeups;
-  stats.dropped_crash = wire.dropped_crash;
-  stats.dropped_fault = wire.dropped_fault;
-  stats.duplicated_fault = wire.duplicated_fault;
-  stats.delayed_fault = wire.delayed_fault;
+  static_cast<runtime::HostCounters&>(stats) = host_->counters();
   stats.frames_per_writev_avg =
-      wire.writev_calls == 0
+      stats.writev_calls == 0
           ? 0.0
-          : static_cast<double>(wire.frames_sent) /
-                static_cast<double>(wire.writev_calls);
+          : static_cast<double>(stats.frames_sent) /
+                static_cast<double>(stats.writev_calls);
   {
     const std::scoped_lock lock(log_mu_);
     stats.deliveries.resize(logs_.size());

@@ -64,13 +64,11 @@ struct ClusterRestart {
 struct ClusterOptions {
   std::uint32_t n = 3;
   std::uint64_t seed = 1;
+  /// Full stack selection, including the ordering window W
+  /// (`stack.pipeline_depth`; 1 = the paper's sequential Algorithm 1)
+  /// and sender-side batching B (`stack.batch`; max_msgs = 1 disables
+  /// it).
   abcast::StackConfig stack = {};
-  /// Ordering-window override; 0 = keep `stack.pipeline_depth`.
-  std::uint32_t pipeline = 0;
-  /// Batch-size override; 0 = keep `stack.batch.max_msgs`.
-  std::size_t batch_msgs = 0;
-  /// Batch-delay override; negative = keep `stack.batch.max_delay`.
-  Duration batch_delay = -1;
   runtime::HostKind host = runtime::HostKind::kSim;
   net::NetModel model = net::NetModel::fast_test();  // kSim only
   std::vector<ClusterCrash> crashes;
@@ -114,37 +112,6 @@ struct ClusterOptions {
   ClusterOptions& with_rb(abcast::RbKind kind) {
     stack.rb = kind;
     return *this;
-  }
-  /// Window of concurrent ordering instances (W). 1 is the
-  /// paper-faithful sequential Algorithm 1 (the default, via
-  /// `StackConfig::pipeline_depth`); larger windows pipeline consensus
-  /// instances for throughput. Overrides the stack config regardless of
-  /// option order (see `effective_stack`).
-  ClusterOptions& pipeline_depth(std::uint32_t w) {
-    pipeline = w;
-    return *this;
-  }
-  /// Sender-side payload batching: coalesce up to `max_msgs` consecutive
-  /// abroadcasts into one R-broadcast frame, flushing an underfull batch
-  /// after `max_delay`. 1 is the paper-faithful one-frame-per-message
-  /// dissemination (the default, via `StackConfig::batch`). Overrides
-  /// the stack config regardless of option order (see `effective_stack`).
-  ClusterOptions& batch_max_msgs(std::size_t max_msgs) {
-    batch_msgs = max_msgs;
-    return *this;
-  }
-  ClusterOptions& batch_max_delay(Duration max_delay) {
-    batch_delay = max_delay;
-    return *this;
-  }
-  /// The stack config the cluster actually builds: `stack` with the
-  /// `pipeline_depth` / batching overrides (if any) folded in.
-  abcast::StackConfig effective_stack() const {
-    abcast::StackConfig config = stack;
-    if (pipeline != 0) config.pipeline_depth = pipeline;
-    if (batch_msgs != 0) config.batch.max_msgs = batch_msgs;
-    if (batch_delay >= 0) config.batch.max_delay = batch_delay;
-    return config;
   }
   /// Sets the simulated network model (only the kSim host reads it;
   /// host selection is with_host/on_tcp alone, so option order never
@@ -196,12 +163,14 @@ struct ClusterOptions {
   }
 };
 
-/// Aggregated run statistics (see Cluster::stats()).
-struct ClusterStats {
+/// Aggregated run statistics (see Cluster::stats()). The transport
+/// totals are the host's own `runtime::HostCounters` (messages, wire
+/// bytes, writev calls, wake-ups, fault accounting); the durability
+/// counters are `recovery::Counters` summed over processes and across
+/// incarnations (zero unless recovery is enabled).
+struct ClusterStats : runtime::HostCounters, recovery::Counters {
   std::uint64_t consensus_rounds = 0;    // summed over processes
   std::uint64_t proposals_refused = 0;   // nack/⊥ caused by rcv
-  std::uint64_t messages_sent = 0;       // transport sends, incl. self
-  std::uint64_t wire_bytes_sent = 0;     // incl. framing, excl. loopback
   std::size_t total_deliveries = 0;      // A-deliveries, all processes
   std::vector<std::size_t> deliveries;   // [1..n]; [0] unused
   bool prefix_consistent = false;        // Uniform Total Order held
@@ -227,24 +196,7 @@ struct ClusterStats {
   std::uint64_t rb_wire_sends = 0;
   double rb_sends_per_frame_max = 0.0;
   double rb_hop_latency_max_ms = 0.0;
-  // Transport-efficiency counters (TCP host only; zero on the sim).
-  std::uint64_t writev_calls = 0;        // flush syscalls issued
-  std::uint64_t wakeups = 0;             // wake-pipe writes (cross-thread)
-  double frames_per_writev_avg = 0.0;    // frames flushed / writev calls
-  // Fault accounting (both hosts; dropped_crash is sim-only — a dead
-  // TCP peer is just a closed socket).
-  std::uint64_t dropped_crash = 0;       // messages lost to crashes
-  std::uint64_t dropped_fault = 0;       // discarded by the fault plan
-  std::uint64_t duplicated_fault = 0;    // extra copies injected
-  std::uint64_t delayed_fault = 0;       // held by a cut or delayed
-  // Durability & recovery counters (recovery-enabled clusters only;
-  // summed over processes and across incarnations).
-  std::uint64_t log_appends = 0;         // WAL records written
-  std::uint64_t log_bytes = 0;           // WAL bytes incl. framing
-  std::uint64_t fsyncs = 0;              // store sync calls issued
-  std::uint64_t snapshot_count = 0;      // snapshots taken
-  std::uint64_t catchup_ids_fetched = 0; // ids learned from peers
-  double replay_ms = 0.0;                // time spent replaying, summed
+  double frames_per_writev_avg = 0.0;    // frames_sent / writev_calls
 };
 
 class Cluster {

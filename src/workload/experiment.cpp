@@ -3,7 +3,6 @@
 #include <memory>
 #include <mutex>
 
-#include "runtime/cluster.hpp"
 #include "util/assert.hpp"
 #include "workload/latency.hpp"
 
@@ -67,42 +66,28 @@ class Source {
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  IBC_REQUIRE(config.n >= 1);
   IBC_REQUIRE(config.throughput_msgs_per_sec > 0);
 
   // The driver keeps its own records (LatencyRecorder), so the facade's
   // payload-copying delivery log stays off — it would distort the very
   // latencies being measured.
-  ClusterOptions options = ClusterOptions{}
-                               .with_n(config.n)
-                               .with_seed(config.seed)
-                               .with_stack(config.stack)
-                               .with_model(config.model)
-                               .with_host(config.host)
-                               .without_delivery_log();
-  for (const CrashEvent& c : config.crashes)
-    options.with_crash(c.at, c.process);
-  if (!config.restarts.empty()) options.with_recovery(config.recovery);
-  for (const RestartEvent& r : config.restarts)
-    options.with_restart(r.at, r.process);
-
-  Cluster cluster(options);
+  Cluster cluster(ClusterOptions(config.cluster).without_delivery_log());
 
   const TimePoint measure_from = config.warmup;
   const TimePoint measure_to = config.warmup + config.measure;
   const TimePoint run_end = measure_to + config.drain;
 
-  LatencyRecorder recorder(measure_from, measure_to, config.n);
+  const std::uint32_t n = cluster.n();
+  LatencyRecorder recorder(measure_from, measure_to, n);
   std::mutex rec_mu;
 
   std::vector<std::unique_ptr<Source>> sources;
-  sources.reserve(config.n + 1);
+  sources.reserve(n + 1);
   sources.push_back(nullptr);  // 1-based
 
-  const double per_process_rate =
-      config.throughput_msgs_per_sec / config.n;
+  const double per_process_rate = config.throughput_msgs_per_sec / n;
 
-  for (ProcessId p = 1; p <= config.n; ++p) {
+  for (ProcessId p = 1; p <= n; ++p) {
     Cluster::Node& node = cluster.node(p);
     node.on_deliver([&recorder, &rec_mu, &cluster, p](const MessageId& id,
                                                       BytesView) {
@@ -114,7 +99,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         cluster, p, recorder, rec_mu, per_process_rate,
         config.payload_bytes, measure_to));
   }
-  for (ProcessId p = 1; p <= config.n; ++p) {
+  for (ProcessId p = 1; p <= n; ++p) {
     cluster.host().run_on(p, [&sources, p] { sources[p]->start(); });
   }
 
@@ -123,19 +108,17 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // source's timer chain died with the crash. Re-wire both before the
   // process resumes — the catch-up redeliveries of the downtime gap
   // must land in the recorder, and post-rejoin load must flow again.
-  if (!config.restarts.empty()) {
-    cluster.set_restart_listener(
-        [&recorder, &rec_mu, &cluster, &sources](ProcessId p) {
-          cluster.node(p).stack().abcast().subscribe(
-              [&recorder, &rec_mu, &cluster, p](const MessageId& id,
-                                                const Payload&) {
-                const TimePoint at = cluster.now();
-                const std::scoped_lock lock(rec_mu);
-                recorder.on_delivery(id, p, at);
-              });
-          sources[p]->start();
-        });
-  }
+  cluster.set_restart_listener(
+      [&recorder, &rec_mu, &cluster, &sources](ProcessId p) {
+        cluster.node(p).stack().abcast().subscribe(
+            [&recorder, &rec_mu, &cluster, p](const MessageId& id,
+                                              const Payload&) {
+              const TimePoint at = cluster.now();
+              const std::scoped_lock lock(rec_mu);
+              recorder.on_delivery(id, p, at);
+            });
+        sources[p]->start();
+      });
 
   // Run generation + measurement + drain, bounded by host time (the
   // heartbeat failure detector keeps event queues busy forever, so
@@ -171,30 +154,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
           ? static_cast<double>(res.broadcasts_measured - res.undelivered) /
                 to_sec(config.measure)
           : 0.0;
-  const ClusterStats stats = cluster.stats();
-  res.messages_sent = stats.messages_sent;
-  res.wire_bytes_sent = stats.wire_bytes_sent;
-  res.consensus_rounds = stats.consensus_rounds;
-  res.proposals_refused = stats.proposals_refused;
-  res.instances_completed = stats.instances_completed;
-  res.pipeline_high_water = stats.pipeline_high_water;
-  res.ids_deduplicated = stats.ids_deduplicated;
-  res.batches_sent = stats.batches_sent;
-  res.msgs_per_batch_avg = stats.msgs_per_batch_avg;
-  res.payload_bytes_copied = stats.payload_bytes_copied;
-  res.rb_frames = stats.rb_frames;
-  res.rb_wire_sends = stats.rb_wire_sends;
-  res.rb_sends_per_frame_max = stats.rb_sends_per_frame_max;
-  res.rb_hop_latency_max_ms = stats.rb_hop_latency_max_ms;
-  res.writev_calls = stats.writev_calls;
-  res.wakeups = stats.wakeups;
-  res.frames_per_writev_avg = stats.frames_per_writev_avg;
-  res.log_appends = stats.log_appends;
-  res.log_bytes = stats.log_bytes;
-  res.fsyncs = stats.fsyncs;
-  res.snapshot_count = stats.snapshot_count;
-  res.catchup_ids_fetched = stats.catchup_ids_fetched;
-  res.replay_ms = stats.replay_ms;
+  res.stats = cluster.stats();
   return res;
 }
 

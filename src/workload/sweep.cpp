@@ -21,15 +21,13 @@ double latency_point(std::uint32_t n, const net::NetModel& model,
                      std::size_t payload_bytes, double throughput,
                      const SweepOptions& opt) {
   ExperimentConfig cfg;
-  cfg.n = n;
-  cfg.model = model;
-  cfg.stack = stack;
+  cfg.cluster.with_n(n).with_model(model).with_stack(stack).with_seed(
+      opt.seed);
   cfg.payload_bytes = payload_bytes;
   cfg.throughput_msgs_per_sec = throughput;
   cfg.warmup = opt.warmup;
   cfg.measure = opt.measure;
   cfg.drain = opt.drain;
-  cfg.seed = opt.seed;
   const ExperimentResult r = run_experiment(cfg);
   IBC_ASSERT_MSG(r.total_order_ok, "total order violated in a bench run");
   if (point_saturated(r, opt)) return saturated_marker();

@@ -44,14 +44,14 @@ std::string payload_text(ProcessId p, int i) {
 /// the per-run invariants.
 std::vector<MessageId> run_burst(std::uint64_t seed, std::size_t batch,
                                  std::uint32_t window,
-                                 const abcast::StackConfig& stack = {}) {
+                                 abcast::StackConfig stack = {}) {
+  stack.pipeline_depth = window;
+  stack.batch.max_msgs = batch;
+  stack.batch.max_delay = milliseconds(1);
   Cluster cluster(ClusterOptions{}
                       .with_n(kN)
                       .with_seed(seed)
                       .with_stack(stack)
-                      .pipeline_depth(window)
-                      .batch_max_msgs(batch)
-                      .batch_max_delay(milliseconds(1))
                       .with_model(net::NetModel::fast_test()));
   std::map<MessageId, std::string> sent;
   for (ProcessId p = 1; p <= kN; ++p) {
@@ -155,12 +155,14 @@ TEST_P(BatchingSweep, SingleSenderSameTotalOrderForEveryBatchAndWindow) {
   for (const std::uint32_t w : {1u, 4u}) {
     for (const std::size_t b : {std::size_t{1}, std::size_t{4},
                                 std::size_t{16}}) {
+      abcast::StackConfig stack;
+      stack.pipeline_depth = w;
+      stack.batch.max_msgs = b;
+      stack.batch.max_delay = milliseconds(1);
       Cluster cluster(ClusterOptions{}
                           .with_n(kN)
                           .with_seed(seed)
-                          .pipeline_depth(w)
-                          .batch_max_msgs(b)
-                          .batch_max_delay(milliseconds(1))
+                          .with_stack(stack)
                           .with_model(net::NetModel::fast_test()));
       for (int i = 0; i < 3 * kMsgsPerProcess; ++i)
         cluster.node(1).abroadcast(payload_text(1, i));
@@ -209,13 +211,13 @@ TEST(Batching, CrashMidBatchKeepsSurvivorsPrefixConsistent) {
   abcast::StackConfig stack;
   stack.heartbeat.interval = milliseconds(10);
   stack.heartbeat.initial_timeout = milliseconds(100);
+  stack.pipeline_depth = 4;
+  stack.batch.max_msgs = 4;
+  stack.batch.max_delay = milliseconds(1);
   Cluster cluster(ClusterOptions{}
                       .with_n(kN)
                       .with_seed(23)
                       .with_stack(stack)
-                      .pipeline_depth(4)
-                      .batch_max_msgs(4)
-                      .batch_max_delay(milliseconds(1))
                       .with_model(net::NetModel::fast_test())
                       .with_crash(milliseconds(2), 2));
   std::vector<MessageId> survivor_msgs;

@@ -243,10 +243,12 @@ TEST(Pipelined, SameSeedSameTotalOrderForEveryWindow) {
   // identical A-delivery order at W = 1, 2, 4 and 8.
   std::vector<MessageId> baseline;
   for (const std::uint32_t w : {1u, 2u, 4u, 8u}) {
+    abcast::StackConfig stack;
+    stack.pipeline_depth = w;
     Cluster cluster(ClusterOptions{}
                         .with_n(3)
                         .with_seed(99)
-                        .pipeline_depth(w)
+                        .with_stack(stack)
                         .with_model(net::NetModel::fast_test()));
     const std::vector<MessageId> sent =
         drive_paced_sender(cluster, 12, milliseconds(1));
@@ -280,11 +282,11 @@ TEST(Pipelined, CrashMidWindowKeepsTotalOrderAndDelivers) {
   abcast::StackConfig stack = tcp_friendly_stack();
   stack.heartbeat.interval = milliseconds(10);
   stack.heartbeat.initial_timeout = milliseconds(100);
+  stack.pipeline_depth = 4;
   Cluster cluster(ClusterOptions{}
                       .with_n(3)
                       .with_seed(23)
                       .with_stack(stack)
-                      .pipeline_depth(4)
                       .with_model(net::NetModel::fast_test()));
   std::vector<MessageId> survivor_msgs;
   for (int i = 0; i < 4; ++i) {

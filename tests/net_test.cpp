@@ -123,6 +123,35 @@ TEST(SimNetwork, CrashDropsQueuedCpuWork) {
   EXPECT_EQ(f.net.counters().dropped_crash, 1u);
 }
 
+TEST(SimNetwork, RestartDropsTheOldIncarnationsQueuedCpuWork) {
+  // p2's CPU is busy for 10 ms, so a receive, a loopback and a send
+  // queue behind it. p2 crashes at 1 ms and restarts at 2 ms, before any
+  // of them runs: they belong to the dead incarnation and must reach
+  // neither the new one nor the wire. A message still on the wire at the
+  // restart arrives, at the new incarnation, which can also send.
+  Fixture f(simple_model());
+  f.net.charge_cpu(2, milliseconds(10));
+  f.net.send(1, 2, Bytes(10, 1));  // queued on p2's CPU at 120 us
+  f.net.send(2, 2, Bytes(11, 2));  // loopback
+  f.net.send(2, 3, Bytes(12, 3));  // not yet on p2's NIC
+  f.net.crash_at(milliseconds(1), 2);
+  f.sched.schedule_at(milliseconds(2), [&f] { f.net.restart(2); });
+  // Arrives at 2.08 ms: CPU 10 us + NIC 20 us + propagation 100 us.
+  f.sched.schedule_at(milliseconds(2) - microseconds(50),
+                      [&f] { f.net.send(1, 2, Bytes(20, 4)); });
+  f.sched.schedule_at(milliseconds(3),
+                      [&f] { f.net.send(2, 3, Bytes(30, 5)); });
+  f.sched.run_all();
+  ASSERT_EQ(f.events.size(), 2u);
+  EXPECT_EQ(f.events[0].src, 1u);
+  EXPECT_EQ(f.events[0].dst, 2u);
+  EXPECT_EQ(f.events[0].size, 20u);
+  EXPECT_EQ(f.events[1].src, 2u);
+  EXPECT_EQ(f.events[1].dst, 3u);
+  EXPECT_EQ(f.events[1].size, 30u);
+  EXPECT_EQ(f.net.counters().dropped_crash, 3u);
+}
+
 TEST(SimNetwork, CrashAbortsNicTransfers) {
   Fixture f(simple_model());
   f.net.send(1, 2, Bytes(100'000, 1));         // ~100ms on the wire

@@ -123,12 +123,13 @@ TEST(Recovery, SimRestartMidBatchExpandsExactlyOnce) {
   // restart must not re-expand any batch (same sequence as a peer ⇒
   // every constituent message exactly once).
   SCOPED_TRACE(test::repro_hint(13));
+  abcast::StackConfig stack = recovery_stack();
+  stack.batch.max_msgs = 4;
+  stack.batch.max_delay = milliseconds(5);
   Cluster cluster(ClusterOptions{}
                       .with_n(3)
                       .with_seed(13)
-                      .with_stack(recovery_stack())
-                      .batch_max_msgs(4)
-                      .batch_max_delay(milliseconds(5))
+                      .with_stack(stack)
                       .with_recovery()
                       .with_crash(milliseconds(150), 3)
                       .with_restart(milliseconds(350), 3));

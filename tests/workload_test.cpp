@@ -66,30 +66,28 @@ TEST(LatencyRecorder, DetectsTotalOrderViolation) {
 
 TEST(Experiment, DeterministicForFixedSeed) {
   ExperimentConfig cfg;
-  cfg.n = 3;
-  cfg.stack.indirect.rcv_check_cost_per_id =
-      cfg.model.rcv_check_cost_per_id;
+  cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+      cfg.cluster.model.rcv_check_cost_per_id;
   cfg.throughput_msgs_per_sec = 200;
   cfg.warmup = milliseconds(500);
   cfg.measure = seconds(2);
   cfg.drain = seconds(1);
-  cfg.seed = 99;
+  cfg.cluster.seed = 99;
   const ExperimentResult a = run_experiment(cfg);
   const ExperimentResult b = run_experiment(cfg);
   EXPECT_EQ(a.samples, b.samples);
   EXPECT_DOUBLE_EQ(a.mean_latency_ms, b.mean_latency_ms);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent);
 
-  cfg.seed = 100;
+  cfg.cluster.seed = 100;
   const ExperimentResult c = run_experiment(cfg);
   EXPECT_NE(a.mean_latency_ms, c.mean_latency_ms);
 }
 
 TEST(Experiment, HealthyRunDeliversEverything) {
   ExperimentConfig cfg;
-  cfg.n = 3;
-  cfg.stack.indirect.rcv_check_cost_per_id =
-      cfg.model.rcv_check_cost_per_id;
+  cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+      cfg.cluster.model.rcv_check_cost_per_id;
   cfg.throughput_msgs_per_sec = 100;
   cfg.warmup = milliseconds(500);
   cfg.measure = seconds(2);
@@ -108,9 +106,9 @@ TEST(Experiment, HealthyRunDeliversEverything) {
 TEST(Experiment, LatencyRisesWithThroughput) {
   auto run_at = [](double tput) {
     ExperimentConfig cfg;
-    cfg.n = 5;
-    cfg.stack.indirect.rcv_check_cost_per_id =
-        cfg.model.rcv_check_cost_per_id;
+    cfg.cluster.n = 5;
+    cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+        cfg.cluster.model.rcv_check_cost_per_id;
     cfg.throughput_msgs_per_sec = tput;
     cfg.warmup = seconds(1);
     cfg.measure = seconds(4);
@@ -124,39 +122,38 @@ TEST(Experiment, SameScenarioRunsOnBothHosts) {
   // The whole point of the Host abstraction: one config, one driver,
   // two transports. Keep the phases short — the TCP leg is wall-clock.
   ExperimentConfig cfg;
-  cfg.n = 3;
-  cfg.stack.heartbeat.initial_timeout = milliseconds(300);
+  cfg.cluster.stack.heartbeat.initial_timeout = milliseconds(300);
   cfg.throughput_msgs_per_sec = 60;
   cfg.payload_bytes = 16;
   cfg.warmup = milliseconds(100);
   cfg.measure = milliseconds(500);
   cfg.drain = milliseconds(400);
-  cfg.seed = 11;
+  cfg.cluster.seed = 11;
 
   for (const runtime::HostKind host :
        {runtime::HostKind::kSim, runtime::HostKind::kTcp}) {
-    cfg.host = host;
+    cfg.cluster.host = host;
     const ExperimentResult r = run_experiment(cfg);
     const char* label = host == runtime::HostKind::kSim ? "sim" : "tcp";
     EXPECT_GT(r.samples, 0u) << label;
     EXPECT_TRUE(r.total_order_ok) << label;
     EXPECT_EQ(r.undelivered, 0u) << label;
-    EXPECT_GT(r.messages_sent, 0u) << label;
-    EXPECT_GT(r.wire_bytes_sent, 0u) << label;
-    EXPECT_GT(r.consensus_rounds, 0u) << label;
+    EXPECT_GT(r.stats.messages_sent, 0u) << label;
+    EXPECT_GT(r.stats.wire_bytes_sent, 0u) << label;
+    EXPECT_GT(r.stats.consensus_rounds, 0u) << label;
   }
 }
 
 TEST(Experiment, CrashDuringWarmupStillDelivers) {
   ExperimentConfig cfg;
-  cfg.n = 5;
-  cfg.stack.indirect.rcv_check_cost_per_id =
-      cfg.model.rcv_check_cost_per_id;
+  cfg.cluster.n = 5;
+  cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+      cfg.cluster.model.rcv_check_cost_per_id;
   cfg.throughput_msgs_per_sec = 50;
   cfg.warmup = seconds(2);
   cfg.measure = seconds(3);
   cfg.drain = seconds(3);
-  cfg.crashes.push_back({5, seconds(1)});
+  cfg.cluster.with_crash(seconds(1), 5);
   const ExperimentResult r = run_experiment(cfg);
   EXPECT_EQ(r.undelivered, 0u);
   EXPECT_TRUE(r.total_order_ok);
