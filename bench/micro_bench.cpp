@@ -1,13 +1,16 @@
 // Micro-benchmarks (google-benchmark): costs of the hot building blocks —
-// serialization, id-set operations, the rcv check, raw simulator event
-// throughput, and the wall-clock cost of simulating a full atomic
-// broadcast. These measure the *implementation*, complementing the
-// figure benches which measure the *modeled system*.
+// serialization, id-set operations, dedup tables, the rcv check, raw
+// simulator event throughput, and the wall-clock cost of simulating a
+// full atomic broadcast. These measure the *implementation*,
+// complementing the figure benches which measure the *modeled system*.
 #include <benchmark/benchmark.h>
 
 #include <array>
 #include <deque>
 #include <map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "abcast/abcast_msgs.hpp"
 #include "core/id_set.hpp"
@@ -15,6 +18,7 @@
 #include "net/tcp/framing.hpp"
 #include "sim/scheduler.hpp"
 #include "util/bytes.hpp"
+#include "util/id_runs.hpp"
 #include "util/payload.hpp"
 #include "util/rng.hpp"
 #include "workload/experiment.hpp"
@@ -270,6 +274,65 @@ void BM_MulticastFanoutSharedPayload(benchmark::State& state) {
       static_cast<std::int64_t>(payload_size * kFanoutPeers));
 }
 BENCHMARK(BM_MulticastFanoutSharedPayload)->Arg(32)->Arg(1024)->Arg(16384);
+
+// Dedup tables: 1M ids from 3 origins, each inserted and then looked up
+// (2 ops per id). Arg 0 feeds every origin's ids in sequence order; arg 1
+// swaps 1% of them with their successor, the out-of-order arrivals a
+// flood or a pipelined window produces. BM_DedupUnorderedSet is the
+// one-node-per-id hash set the ordering core and RB flooding used to
+// keep; BM_DedupIdRuns is the per-origin run map that replaced it (its
+// memory is O(runs), which the heap figure of perfbench measures).
+std::vector<MessageId> dedup_ids(bool out_of_order) {
+  constexpr std::size_t kIds = 1'000'000;
+  constexpr ProcessId kOrigins = 3;
+  std::vector<MessageId> ids;
+  ids.reserve(kIds);
+  for (std::size_t i = 0; i < kIds; ++i) {
+    ids.push_back(MessageId{static_cast<ProcessId>(1 + i % kOrigins),
+                            1 + i / kOrigins});
+  }
+  if (out_of_order) {
+    Rng rng(7);
+    for (std::size_t i = 0; i + kOrigins < kIds; ++i) {
+      if (rng.next_below(100) == 0) std::swap(ids[i], ids[i + kOrigins]);
+    }
+  }
+  return ids;
+}
+
+/// Reports time per operation (`ops` per iteration) as `ns_per_op`.
+void report_ns_per_op(benchmark::State& state, std::size_t ops) {
+  state.counters["ns_per_op"] = benchmark::Counter(
+      static_cast<double>(ops), benchmark::Counter::kIsIterationInvariantRate |
+                                    benchmark::Counter::kInvert);
+}
+
+void BM_DedupUnorderedSet(benchmark::State& state) {
+  const std::vector<MessageId> ids = dedup_ids(state.range(0) != 0);
+  for (auto _ : state) {
+    std::unordered_set<MessageId> seen;
+    for (const MessageId& id : ids) {
+      benchmark::DoNotOptimize(seen.insert(id).second);
+      benchmark::DoNotOptimize(seen.contains(id));
+    }
+  }
+  report_ns_per_op(state, 2 * ids.size());
+}
+BENCHMARK(BM_DedupUnorderedSet)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_DedupIdRuns(benchmark::State& state) {
+  const std::vector<MessageId> ids = dedup_ids(state.range(0) != 0);
+  for (auto _ : state) {
+    IdRuns seen;
+    for (const MessageId& id : ids) {
+      benchmark::DoNotOptimize(seen.insert(id));
+      benchmark::DoNotOptimize(seen.contains(id));
+    }
+    state.counters["runs"] = static_cast<double>(seen.size());
+  }
+  report_ns_per_op(state, 2 * ids.size());
+}
+BENCHMARK(BM_DedupIdRuns)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SchedulerThroughput(benchmark::State& state) {
   for (auto _ : state) {

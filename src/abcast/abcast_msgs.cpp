@@ -148,7 +148,8 @@ void AbcastMsgs::apply_decision(const Payload& value) {
     const MessageId id = r.message_id();
     const BytesView blob = r.blob_view();
     unordered_.erase(id);
-    if (!delivered_.insert(id).second) continue;  // delivered earlier
+    if (!delivered_.insert(id)) continue;  // delivered earlier
+    ++delivered_count_;
     const std::size_t offset = value.size() - r.remaining() - blob.size();
     fire_deliver(id, value.slice(offset, blob.size()));
   }

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "abcast/batcher.hpp"
@@ -25,6 +24,7 @@
 #include "consensus/consensus.hpp"
 #include "core/abcast_service.hpp"
 #include "runtime/env.hpp"
+#include "util/id_runs.hpp"
 #include "util/payload.hpp"
 
 namespace ibc::abcast {
@@ -84,7 +84,7 @@ class AbcastMsgs final : public core::AbcastService {
 
   const Batcher* batcher() const override { return &batcher_; }
 
-  std::size_t delivered_count() const { return delivered_.size(); }
+  std::size_t delivered_count() const { return delivered_count_; }
   std::size_t unordered_count() const { return unordered_.size(); }
 
  private:
@@ -101,7 +101,8 @@ class AbcastMsgs final : public core::AbcastService {
   /// Undelivered messages, kept in canonical serialized form — the
   /// proposal of the next instance, always ready.
   MsgSetEncoder unordered_;
-  std::unordered_set<MessageId> delivered_;
+  IdRuns delivered_;
+  std::size_t delivered_count_ = 0;
   consensus::InstanceId applied_k_ = 0;
   bool inflight_ = false;
   std::map<consensus::InstanceId, Payload> pending_decisions_;

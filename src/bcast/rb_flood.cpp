@@ -45,7 +45,7 @@ void RbFlood::on_message(ProcessId from, Reader& r) {
     }
     return;
   }
-  if (!seen_.insert(key).second) return;  // duplicate
+  if (!seen_.insert(key)) return;  // duplicate
 
   // Relay before delivering (first receipt), then deliver. The relay
   // frame is encoded once and shared across every relay target.

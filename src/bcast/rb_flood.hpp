@@ -17,10 +17,10 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "bcast/broadcast.hpp"
 #include "runtime/stack.hpp"
+#include "util/id_runs.hpp"
 #include "util/payload.hpp"
 
 namespace ibc::bcast {
@@ -42,7 +42,9 @@ class RbFlood final : public runtime::Layer, public BroadcastService {
   /// Key of a broadcast for dedup: (origin, per-origin sequence).
   runtime::LayerContext ctx_;
   std::uint64_t next_seq_ = 0;
-  std::unordered_set<MessageId> seen_;
+  /// Keys received so far: one run per origin (plus one per restart's
+  /// seq-base jump), since an origin's keys are consecutive.
+  IdRuns seen_;
   /// Own broadcasts awaiting loopback delivery: the payload retained at
   /// broadcast() so the delivery shares it instead of re-copying the
   /// frame (consumed, and the entry erased, on loopback receipt).

@@ -18,6 +18,8 @@ CtIndirect::CtIndirect(runtime::Stack& stack, runtime::LayerId layer_id,
               }) {
   engine_.subscribe_decide(
       [this](consensus::InstanceId k, BytesView value) {
+        // The engine never evaluates rcv for a decided instance.
+        rcv_.erase(k);
         fire_decide(k, IdSet::from_value(value));
       });
 }
@@ -38,7 +40,9 @@ bool CtIndirect::check_rcv(consensus::InstanceId k, BytesView value) {
 void CtIndirect::propose(consensus::InstanceId k, IdSet v, RcvFn rcv) {
   IBC_REQUIRE(rcv != nullptr);
   IBC_REQUIRE_MSG(rcv(v), "proposer must hold msgs(v) of its own proposal");
-  rcv_.emplace(k, std::move(rcv));
+  // A decision that arrived first makes the engine ignore the propose;
+  // its rcv would never be evaluated nor erased.
+  if (!engine_.has_decided(k)) rcv_.emplace(k, std::move(rcv));
   engine_.propose(k, v.to_value());
 }
 

@@ -34,6 +34,8 @@ MrIndirect::MrIndirect(runtime::Stack& stack, runtime::LayerId layer_id,
           }) {
   engine_.subscribe_decide(
       [this](consensus::InstanceId k, BytesView value) {
+        // The engine never evaluates rcv for a decided instance.
+        rcv_.erase(k);
         fire_decide(k, IdSet::from_value(value));
       });
 }
@@ -51,7 +53,9 @@ bool MrIndirect::check_rcv(consensus::InstanceId k, BytesView value) {
 void MrIndirect::propose(consensus::InstanceId k, IdSet v, RcvFn rcv) {
   IBC_REQUIRE(rcv != nullptr);
   IBC_REQUIRE_MSG(rcv(v), "proposer must hold msgs(v) of its own proposal");
-  rcv_.emplace(k, std::move(rcv));
+  // A decision that arrived first makes the engine ignore the propose;
+  // its rcv would never be evaluated nor erased.
+  if (!engine_.has_decided(k)) rcv_.emplace(k, std::move(rcv));
   engine_.propose(k, v.to_value());
 }
 

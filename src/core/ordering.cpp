@@ -19,7 +19,8 @@ void OrderingCore::restore(Restored state) {
                       received_.empty() && applied_k_ == 0 &&
                       opened_k_ == 0,
                   "restore requires a freshly constructed core");
-  for (const MessageId& id : state.delivered) delivered_.insert(id);
+  delivered_ = std::move(state.delivered);
+  delivered_batches_ = state.batches_delivered;
   msgs_delivered_ = state.msgs_delivered;
   for (const MessageId& id : state.ordered) {
     ordered_.push_back(id);
@@ -169,7 +170,8 @@ void OrderingCore::try_deliver() {
       if (it == received_.end()) break;  // blocked: payload not yet here
       ordered_.pop_front();
       ordered_set_.erase(head);
-      delivered_.insert(head);
+      delivered_.insert(head, it->second.size());
+      ++delivered_batches_;
       run.push_back(Deliverable{head, std::move(it->second)});
       received_.erase(it);
     }

@@ -61,6 +61,7 @@
 #include "core/id_set.hpp"
 #include "core/journal.hpp"
 #include "util/bytes.hpp"
+#include "util/id_runs.hpp"
 #include "util/payload.hpp"
 
 namespace ibc::core {
@@ -82,7 +83,8 @@ class OrderingCore {
 
   /// State rebuilt from snapshot + log replay (src/recovery/).
   struct Restored {
-    std::vector<MessageId> delivered;  // batch ids A-delivered pre-crash
+    IdRuns delivered;  // ids A-delivered pre-crash
+    std::uint64_t batches_delivered = 0;
     std::uint64_t msgs_delivered = 0;
     std::vector<MessageId> ordered;  // undelivered backlog, in order
     consensus::InstanceId applied_k = 0;
@@ -121,7 +123,7 @@ class OrderingCore {
   const IdSet& unordered() const { return unordered_; }
   std::size_t ordered_backlog() const { return ordered_.size(); }
   /// Ordering entries (batch ids) A-delivered so far.
-  std::size_t delivered_count() const { return delivered_.size(); }
+  std::uint64_t delivered_count() const { return delivered_batches_; }
   /// Client messages A-delivered so far (≥ delivered_count(): every
   /// batch expands to its constituents).
   std::uint64_t msgs_delivered() const { return msgs_delivered_; }
@@ -142,10 +144,9 @@ class OrderingCore {
   /// First ordered-but-undelivered id, if any (a permanently stuck head
   /// is how the §2.2 validity violation manifests).
   std::optional<MessageId> blocked_head() const;
-  /// Delivered batch-id set (snapshot capture).
-  const std::unordered_set<MessageId>& delivered_set() const {
-    return delivered_;
-  }
+  /// Delivered ids, every batch's constituents included, as per-origin
+  /// runs (snapshot capture). Its size() is the number of runs.
+  const IdRuns& delivered_set() const { return delivered_; }
   /// Ordered-but-undelivered backlog in delivery order (snapshot
   /// capture).
   const std::deque<MessageId>& ordered_entries() const { return ordered_; }
@@ -189,7 +190,11 @@ class OrderingCore {
   /// Batch id -> constituent payloads (shared views of the R-delivered
   /// frame), pending A-delivery.
   std::unordered_map<MessageId, std::vector<Payload>> received_;
-  std::unordered_set<MessageId> delivered_;  // batch ids
+  /// A-delivered ids: each delivered batch inserts its whole
+  /// `[head, head + count)` range, so consecutive batches of an origin
+  /// share one run. Only batch ids are ever looked up.
+  IdRuns delivered_;
+  std::uint64_t delivered_batches_ = 0;
   std::uint64_t msgs_delivered_ = 0;
   IdSet unordered_;
   std::deque<MessageId> ordered_;

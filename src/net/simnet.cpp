@@ -33,8 +33,8 @@ Duration SimNetwork::draw_jitter() {
   return rng_.next_in(0, model_.jitter);
 }
 
-bool SimNetwork::stale(ProcessId p, std::uint64_t incarnation) {
-  if (incarnation == incarnation_[p]) return false;
+bool SimNetwork::task_died(ProcessId p, std::uint64_t incarnation) {
+  if (!crashed_[p] && incarnation == incarnation_[p]) return false;
   ++counters_.dropped_crash;
   return true;
 }
@@ -68,9 +68,7 @@ void SimNetwork::send(ProcessId src, ProcessId dst, Payload msg) {
     const TimePoint done = cpu_enqueue(src, model_.self_delivery_cost);
     sched_.schedule_at(done, [this, src, dst, incarnation,
                               msg = std::move(msg)] {
-      if (!crashed_[src] && !stale(src, incarnation)) {
-        deliver_now(src, dst, msg);
-      }
+      if (!task_died(src, incarnation)) deliver_now(src, dst, msg);
     });
     return;
   }
@@ -85,11 +83,7 @@ void SimNetwork::send(ProcessId src, ProcessId dst, Payload msg) {
     // The CPU task dies with the process: a crash between enqueue and
     // completion drops the message before it reaches the NIC, even if
     // the process has restarted since.
-    if (crashed_[src]) {
-      ++counters_.dropped_crash;
-      return;
-    }
-    if (!stale(src, incarnation)) nic_add(src, dst, msg);
+    if (!task_died(src, incarnation)) nic_add(src, dst, msg);
   });
 }
 
@@ -240,9 +234,7 @@ void SimNetwork::arrive(ProcessId src, ProcessId dst, Payload msg) {
   const TimePoint done = cpu_enqueue(dst, cost);
   sched_.schedule_at(done, [this, src, dst, incarnation = incarnation_[dst],
                             msg = std::move(msg)] {
-    if (!crashed_[dst] && !stale(dst, incarnation)) {
-      deliver_now(src, dst, msg);
-    }
+    if (!task_died(dst, incarnation)) deliver_now(src, dst, msg);
   });
 }
 

@@ -14,8 +14,8 @@
 // host dying mid-TCP-stream and is what makes the paper's §2.2
 // validity-violation scenario reproducible. A restart does not revive the
 // discarded work: CPU tasks carry the incarnation that queued them, and a
-// task of an earlier incarnation drops itself (counted in
-// `dropped_crash`) instead of running in the new one.
+// task whose process is crashed or of an earlier incarnation drops itself
+// (counted in `dropped_crash`) instead of running in the new one.
 //
 // A `FaultPlan` (faults.hpp) turns the benign LAN hostile: scheduled
 // partitions (buffering or lossy), asymmetric one-way delays, and
@@ -170,8 +170,10 @@ class SimNetwork {
   /// Appends `cost` to p's CPU queue; returns the completion time.
   TimePoint cpu_enqueue(ProcessId p, Duration cost);
   /// True iff a CPU task queued by incarnation `incarnation` of `p`
-  /// outlived it (p restarted since); counts the task in `dropped_crash`.
-  bool stale(ProcessId p, std::uint64_t incarnation);
+  /// died with it: p is crashed now, or restarted since. Counts the
+  /// task's message in `dropped_crash`; every CPU task checks this
+  /// exactly once, so each such loss is counted once.
+  bool task_died(ProcessId p, std::uint64_t incarnation);
 
   /// Adversary checkpoint between NIC and wire: applies the fault plan
   /// to one message (hold, drop, duplicate, delay) or hands it to

@@ -31,10 +31,11 @@ void RecoveryManager::replay() {
   if (auto snap = store::load_latest_snapshot(dir_)) {
     r.applied_k = snap->applied_k;
     r.opened_k = snap->opened_k;
+    r.batches_delivered = snap->batches_delivered;
     r.msgs_delivered = snap->msgs_delivered;
     reserved_seq_ = snap->reserved_seq;
     floor = snap->wal_floor;
-    r.delivered.assign(snap->delivered.begin(), snap->delivered.end());
+    r.delivered = std::move(snap->delivered);
     ordered = std::move(snap->ordered);
   }
   for (const std::string& name : dir_.list()) {
@@ -73,7 +74,8 @@ void RecoveryManager::replay() {
             IBC_ASSERT_MSG(head < ordered.size() && ordered[head] == id,
                            "deliver record matches the backlog head");
             ++head;
-            r.delivered.push_back(id);
+            r.delivered.insert(id, msgs);
+            ++r.batches_delivered;
             r.msgs_delivered += msgs;
             break;
           }
@@ -162,11 +164,10 @@ void RecoveryManager::take_snapshot() {
   snap.applied_k = core_->instances_completed();
   snap.opened_k = core_->opened_instance();
   snap.reserved_seq = reserved_seq_;
+  snap.batches_delivered = core_->delivered_count();
   snap.msgs_delivered = core_->msgs_delivered();
   snap.wal_floor = log_.current_index();
-  std::vector<MessageId> delivered(core_->delivered_set().begin(),
-                                   core_->delivered_set().end());
-  snap.delivered = core::IdSet::from_unsorted(std::move(delivered));
+  snap.delivered = core_->delivered_set();
   snap.ordered.assign(core_->ordered_entries().begin(),
                       core_->ordered_entries().end());
   store::write_snapshot(dir_, snap, ++snapshot_index_);

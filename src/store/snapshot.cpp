@@ -10,7 +10,7 @@
 namespace ibc::store {
 
 namespace {
-constexpr std::uint8_t kSnapshotVersion = 1;
+constexpr std::uint8_t kSnapshotVersion = 2;
 constexpr const char* kTmpName = "snap-tmp";
 }  // namespace
 
@@ -34,9 +34,14 @@ Bytes encode_snapshot(const Snapshot& snap) {
   body.u64(snap.applied_k);
   body.u64(snap.opened_k);
   body.u64(snap.reserved_seq);
+  body.u64(snap.batches_delivered);
   body.u64(snap.msgs_delivered);
   body.u32(snap.wal_floor);
-  snap.delivered.serialize(body);
+  body.u32(static_cast<std::uint32_t>(snap.delivered.size()));
+  for (const auto& [first, end] : snap.delivered) {
+    body.message_id(first);
+    body.u64(end - first.seq);
+  }
   body.u32(static_cast<std::uint32_t>(snap.ordered.size()));
   for (const MessageId& id : snap.ordered) body.message_id(id);
   const Bytes bytes = body.take();
@@ -61,9 +66,18 @@ std::optional<Snapshot> decode_snapshot(BytesView file) {
   snap.applied_k = r.u64();
   snap.opened_k = r.u64();
   snap.reserved_seq = r.u64();
+  snap.batches_delivered = r.u64();
   snap.msgs_delivered = r.u64();
   snap.wal_floor = r.u32();
-  snap.delivered = core::IdSet::deserialize(r);
+  const std::uint32_t runs = r.u32();
+  for (std::uint32_t i = 0; i < runs; ++i) {
+    const MessageId first = r.message_id();
+    const std::uint64_t length = r.u64();
+    if (length == 0 || first.seq + length < first.seq ||
+        !snap.delivered.insert(first, length)) {
+      return std::nullopt;
+    }
+  }
   const std::uint32_t ordered = r.u32();
   snap.ordered.reserve(ordered);
   for (std::uint32_t i = 0; i < ordered; ++i) {

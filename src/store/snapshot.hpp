@@ -13,8 +13,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/id_set.hpp"
 #include "store/storage.hpp"
+#include "util/id_runs.hpp"
 #include "util/types.hpp"
 
 namespace ibc::store {
@@ -27,13 +27,15 @@ struct Snapshot {
   std::uint64_t opened_k = 0;
   /// Sequence numbers <= this may have been used by this origin.
   std::uint64_t reserved_seq = 0;
+  /// Ordering entries (batch ids) A-delivered.
+  std::uint64_t batches_delivered = 0;
   /// Constituent client messages A-delivered (batches expanded).
   std::uint64_t msgs_delivered = 0;
   /// First log segment replay must visit.
   std::uint32_t wal_floor = 1;
-  /// Batch ids A-delivered — the dedup set (delivered-prefix
-  /// high-water: its size is the number of ordering entries consumed).
-  core::IdSet delivered;
+  /// Ids A-delivered, batches expanded — the dedup set, stored as
+  /// per-origin runs `(first id, length)`.
+  IdRuns delivered;
   /// Ordered-but-undelivered backlog, in delivery order.
   std::vector<MessageId> ordered;
 };

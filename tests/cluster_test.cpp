@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness.hpp"
@@ -315,6 +316,48 @@ TEST(Pipelined, CrashMidWindowKeepsTotalOrderAndDelivers) {
   const auto log1 = cluster.log(1);
   const auto log3 = cluster.log(3);
   EXPECT_EQ(log1.size(), log3.size());
+}
+
+TEST(BoundedState, DeliveredSetHoldsOneRunPerOrigin) {
+  // The ordering core's dedup set stores delivered ids as per-origin
+  // runs. Every origin's ids are consecutive, so once a failure-free run
+  // quiesces the set holds one run per origin that broadcast, however
+  // many messages it delivered: the paper stack (W=1, B=1) and a
+  // pipelined, batched one (W=4, B=8), 20k messages each.
+  constexpr int kMessages = 20000;
+  constexpr std::uint32_t kN = 3;
+  for (const auto& [window, batch] :
+       {std::pair{1u, 1u}, std::pair{4u, 8u}}) {
+    SCOPED_TRACE(test::repro_hint(31));
+    abcast::StackConfig stack;
+    stack.pipeline_depth = window;
+    stack.batch.max_msgs = batch;
+    stack.batch.max_delay = milliseconds(2);
+    Cluster cluster(ClusterOptions{}
+                        .with_n(kN)
+                        .with_seed(31)
+                        .with_stack(stack)
+                        .without_delivery_log());
+    for (int i = 0; i < kMessages; ++i) {
+      cluster.node(1 + static_cast<ProcessId>(i) % kN).abroadcast("x");
+      cluster.run_for(microseconds(250));
+    }
+    cluster.run_until_quiesced(/*idle=*/milliseconds(400),
+                               /*limit=*/seconds(30));
+    for (ProcessId p = 1; p <= kN; ++p) {
+      const core::OrderingCore* ordering = cluster.node(p).stack().ordering();
+      ASSERT_NE(ordering, nullptr);
+      EXPECT_EQ(ordering->msgs_delivered(),
+                static_cast<std::uint64_t>(kMessages))
+          << "p" << p << " W=" << window << " B=" << batch;
+      EXPECT_EQ(ordering->delivered_set().size(), kN)
+          << "p" << p << " W=" << window << " B=" << batch;
+      if (batch > 1) {
+        EXPECT_LT(ordering->delivered_count(), ordering->msgs_delivered())
+            << "p" << p << ": no batch formed";
+      }
+    }
+  }
 }
 
 TEST(Cluster, CrossHostSameScenarioSatisfiesTotalOrder) {

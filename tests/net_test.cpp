@@ -152,6 +152,22 @@ TEST(SimNetwork, RestartDropsTheOldIncarnationsQueuedCpuWork) {
   EXPECT_EQ(f.net.counters().dropped_crash, 3u);
 }
 
+TEST(SimNetwork, CrashCountsQueuedReceiveAndLoopbackOnce) {
+  // A receive and a loopback whose process crashes (and stays down)
+  // while the task is queued are lost exactly like a queued send: each
+  // counts once in dropped_crash.
+  Fixture f(simple_model());
+  // Arrives at 120 us (CPU 10 + NIC 10 + propagation 100); its receive
+  // runs until 140 us.
+  f.net.send(1, 2, Bytes(10, 1));
+  f.net.crash_at(microseconds(130), 2);
+  f.net.send(3, 3, Bytes(10, 2));  // loopback done at 5 us
+  f.net.crash_at(microseconds(2), 3);
+  f.sched.run_all();
+  EXPECT_TRUE(f.events.empty());
+  EXPECT_EQ(f.net.counters().dropped_crash, 2u);
+}
+
 TEST(SimNetwork, CrashAbortsNicTransfers) {
   Fixture f(simple_model());
   f.net.send(1, 2, Bytes(100'000, 1));         // ~100ms on the wire

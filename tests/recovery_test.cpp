@@ -138,6 +138,54 @@ TEST(Recovery, SimRestartMidBatchExpandsExactlyOnce) {
   expect_full_recovery(cluster, 3);
 }
 
+TEST(Recovery, SimRestartFromBatchedSnapshotAndLogTailDeliversOnce) {
+  // Batching on and a snapshot every 8 entries: the restarted process
+  // rebuilds its delivered runs from the newest snapshot plus the log
+  // tail, and must deliver no message twice. The restart of p2 adds at
+  // most one run (its seq-base jump) to any process's delivered set.
+  recovery::Config rec;
+  rec.snapshot_every = 8;
+  SCOPED_TRACE(test::repro_hint(14));
+  abcast::StackConfig stack = recovery_stack();
+  stack.batch.max_msgs = 4;
+  stack.batch.max_delay = milliseconds(5);
+  Cluster cluster(ClusterOptions{}
+                      .with_n(3)
+                      .with_seed(14)
+                      .with_stack(stack)
+                      .with_recovery(rec)
+                      .with_crash(milliseconds(200), 2)
+                      .with_restart(milliseconds(400), 2));
+  // Three messages per live process every 5 ms, so batches form.
+  for (int i = 0; i < 120; ++i) {
+    drive_load(cluster, /*rounds=*/3, /*pause=*/0);
+    cluster.run_for(milliseconds(5));
+  }
+  cluster.run_until_quiesced(milliseconds(400), seconds(30));
+
+  expect_full_recovery(cluster, 2);
+  EXPECT_GT(cluster.stats().snapshot_count, 0u);
+  const core::OrderingCore* reference = cluster.node(1).stack().ordering();
+  for (ProcessId p = 1; p <= 3; ++p) {
+    const core::OrderingCore* ordering = cluster.node(p).stack().ordering();
+    EXPECT_EQ(ordering->delivered_count(), reference->delivered_count())
+        << "p" << p;
+    EXPECT_EQ(ordering->msgs_delivered(), reference->msgs_delivered())
+        << "p" << p;
+    EXPECT_LE(ordering->delivered_set().size(), 3u + 1u) << "p" << p;
+  }
+  EXPECT_LT(reference->delivered_count(), reference->msgs_delivered())
+      << "no batch formed";
+  // The restored dedup state covers every message p2 delivered, before
+  // the crash (snapshot + log tail) and after it.
+  const IdRuns& restored = cluster.node(2).stack().ordering()->delivered_set();
+  std::size_t missing = 0;
+  for (const Cluster::Delivery& d : cluster.log(2)) {
+    if (!restored.contains(d.id)) ++missing;
+  }
+  EXPECT_EQ(missing, 0u);
+}
+
 TEST(Recovery, SimRestartRejoinsRingDissemination) {
   // Ring dissemination (docs/PROTOCOL.md D7): the restarted process must
   // re-enter the forwarding chain — holders retry unconfirmed frames
@@ -291,7 +339,7 @@ TEST(Recovery, TornFinalRecordReplaysToLastGoodRecordAndRotates) {
     recovery::RecoveryManager journal(dir, config);
     journal.on_open_instance(1);
     journal.on_decision_applied(1, {id1});
-    journal.on_deliver_batch(id1, {});
+    journal.on_deliver_batch(id1, {Payload::copy_of(BytesView{})});
     journal.commit_deliveries();
     journal.on_open_instance(2);
     journal.on_decision_applied(2, {id2});  // logged, never synced
@@ -312,7 +360,8 @@ TEST(Recovery, TornFinalRecordReplaysToLastGoodRecordAndRotates) {
   // survived the crash even though the decision record after it did not.
   EXPECT_EQ(core.opened_k, 2u);
   ASSERT_EQ(core.delivered.size(), 1u);
-  EXPECT_EQ(*core.delivered.begin(), id1);
+  EXPECT_EQ(core.delivered.begin()->first, id1);
+  EXPECT_EQ(core.delivered.begin()->second, id1.seq + 1);
   EXPECT_TRUE(core.ordered.empty());
 
   // Appends after the tear go to a fresh segment and replay cleanly.

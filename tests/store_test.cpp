@@ -205,10 +205,15 @@ Snapshot example_snapshot() {
   snap.applied_k = 42;
   snap.opened_k = 43;
   snap.reserved_seq = 1024;
+  snap.batches_delivered = 5;
   snap.msgs_delivered = 99;
   snap.wal_floor = 7;
-  snap.delivered = core::IdSet::from_unsorted(
-      {MessageId{1, 5}, MessageId{2, 3}, MessageId{1, 2}});
+  // Multi-message runs: p1 delivered 2..4 and, after a seq-base jump,
+  // 1025..1032 (two batches of 4 merged into one run); p2 delivered 3.
+  snap.delivered.insert(MessageId{1, 2}, 3);
+  snap.delivered.insert(MessageId{1, 1025}, 4);
+  snap.delivered.insert(MessageId{1, 1029}, 4);
+  snap.delivered.insert(MessageId{2, 3});
   snap.ordered = {MessageId{3, 1}, MessageId{1, 9}};
   return snap;
 }
@@ -221,9 +226,14 @@ TEST(Snapshot, EncodeDecodeRoundtrip) {
   EXPECT_EQ(decoded->applied_k, snap.applied_k);
   EXPECT_EQ(decoded->opened_k, snap.opened_k);
   EXPECT_EQ(decoded->reserved_seq, snap.reserved_seq);
+  EXPECT_EQ(decoded->batches_delivered, snap.batches_delivered);
   EXPECT_EQ(decoded->msgs_delivered, snap.msgs_delivered);
   EXPECT_EQ(decoded->wal_floor, snap.wal_floor);
-  EXPECT_EQ(decoded->delivered.size(), snap.delivered.size());
+  EXPECT_EQ(decoded->delivered.size(), 3u);
+  EXPECT_EQ(decoded->delivered, snap.delivered);
+  EXPECT_TRUE(decoded->delivered.contains(MessageId{1, 1032}));
+  EXPECT_FALSE(decoded->delivered.contains(MessageId{1, 1033}));
+  EXPECT_FALSE(decoded->delivered.contains(MessageId{1, 5}));
   EXPECT_EQ(decoded->ordered, snap.ordered);
 }
 

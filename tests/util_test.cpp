@@ -1,7 +1,12 @@
-// Unit tests for util: serialization, RNG, statistics, formatting.
+// Unit tests for util: serialization, RNG, statistics, formatting, id runs.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include "util/bytes.hpp"
+#include "util/id_runs.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
@@ -211,6 +216,87 @@ TEST(Types, MessageIdOrderingAndHash) {
   EXPECT_LT(b, c);
   EXPECT_EQ(to_string(a), "1:5");
   EXPECT_NE(std::hash<MessageId>{}(a), std::hash<MessageId>{}(b));
+}
+
+// -------------------------------------------------------------- id runs
+
+/// Maximal runs of consecutive seqs per origin in a reference set.
+std::vector<std::pair<MessageId, std::uint64_t>> runs_of(
+    const std::set<MessageId>& ids) {
+  std::vector<std::pair<MessageId, std::uint64_t>> runs;
+  for (const MessageId& id : ids) {
+    if (!runs.empty() && runs.back().first.origin == id.origin &&
+        runs.back().second == id.seq) {
+      ++runs.back().second;
+    } else {
+      runs.emplace_back(id, id.seq + 1);
+    }
+  }
+  return runs;
+}
+
+TEST(IdRuns, EmptyAndSingleRun) {
+  IdRuns runs;
+  EXPECT_EQ(runs.size(), 0u);
+  EXPECT_FALSE(runs.contains(MessageId{1, 1}));
+  EXPECT_TRUE(runs.insert(MessageId{1, 1}, 4));
+  EXPECT_FALSE(runs.insert(MessageId{1, 3}));  // inside the run
+  EXPECT_TRUE(runs.insert(MessageId{1, 5}));   // adjacent: extends it
+  EXPECT_TRUE(runs.insert(MessageId{2, 5}));   // other origin: new run
+  EXPECT_EQ(runs.size(), 2u);
+  EXPECT_TRUE(runs.contains(MessageId{1, 5}));
+  EXPECT_FALSE(runs.contains(MessageId{1, 6}));
+  EXPECT_FALSE(runs.contains(MessageId{1, 0}));
+  EXPECT_FALSE(runs.contains(MessageId{2, 4}));
+}
+
+TEST(IdRuns, MatchesAReferenceSetUnderRandomInserts) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    IdRuns runs;
+    std::set<MessageId> ref;
+    // Per-origin next seq of the "sender"; jumps model a restart's
+    // seq-base reservation (D6).
+    std::map<ProcessId, std::uint64_t> next;
+    for (int op = 0; op < 3000; ++op) {
+      const auto origin = static_cast<ProcessId>(1 + rng.next_below(4));
+      std::uint64_t& cursor = next[origin];
+      const std::uint64_t count = 1 + rng.next_below(8);
+      MessageId first{origin, cursor + 1};
+      const std::uint64_t kind = rng.next_below(10);
+      if (kind == 0) {
+        cursor += 1024 * (1 + rng.next_below(3));  // seq-base jump
+        first.seq = cursor + 1;
+      } else if (kind <= 2 && cursor > 0) {
+        // Duplicate or out-of-order arrival behind the cursor.
+        first.seq = 1 + rng.next_below(cursor);
+      } else if (kind == 3) {
+        first.seq = cursor + 2 + rng.next_below(16);  // arrives early
+      }
+      if (first.seq + count - 1 > cursor) cursor = first.seq + count - 1;
+
+      const bool expect_new = !ref.contains(first);
+      if (expect_new) {
+        for (std::uint64_t i = 0; i < count; ++i) {
+          ref.insert(MessageId{origin, first.seq + i});
+        }
+      }
+      ASSERT_EQ(runs.insert(first, count), expect_new)
+          << "seed " << seed << " op " << op;
+      for (int probe = 0; probe < 4; ++probe) {
+        const MessageId id{static_cast<ProcessId>(rng.next_below(6)),
+                           rng.next_below(cursor + 3)};
+        ASSERT_EQ(runs.contains(id), ref.contains(id))
+            << "seed " << seed << " op " << op << " id " << to_string(id);
+      }
+    }
+    const auto expected = runs_of(ref);
+    ASSERT_EQ(runs.size(), expected.size()) << "seed " << seed;
+    const std::vector<std::pair<MessageId, std::uint64_t>> actual(
+        runs.begin(), runs.end());
+    EXPECT_EQ(actual, expected) << "seed " << seed;
+    for (const MessageId& id : ref) ASSERT_TRUE(runs.contains(id));
+  }
 }
 
 }  // namespace
