@@ -1,10 +1,12 @@
 // Micro-benchmarks (google-benchmark): costs of the hot building blocks —
 // serialization, id-set operations, dedup tables, the rcv check, raw
-// simulator event throughput, and the wall-clock cost of simulating a
-// full atomic broadcast. These measure the *implementation*,
+// simulator event throughput, the per-event cost of Payload-carrying
+// events and of the simulated network alone, and the wall-clock cost of
+// simulating a full atomic broadcast. These measure the *implementation*,
 // complementing the figure benches which measure the *modeled system*.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <map>
@@ -15,6 +17,7 @@
 #include "abcast/abcast_msgs.hpp"
 #include "core/id_set.hpp"
 #include "core/ordering.hpp"
+#include "net/simnet.hpp"
 #include "net/tcp/framing.hpp"
 #include "sim/scheduler.hpp"
 #include "util/bytes.hpp"
@@ -344,6 +347,71 @@ void BM_SchedulerThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SchedulerThroughput);
+
+// BM_SchedulerThroughput's capture-free lambdas fit std::function's
+// small buffer, so it never saw what a callback's storage costs. Here
+// each event captures what a SimNetwork task does: a Payload and three
+// ids. Per iteration three events are scheduled, one of them cancelled,
+// and two fire, so about 64 stay pending throughout.
+void BM_SchedulerPayloadEvents(benchmark::State& state) {
+  sim::Scheduler sched;
+  const Payload payload = Payload::wrap(Bytes(40, 7));
+  std::uint64_t sink = 0;
+  std::uint64_t next = 0;
+  const auto schedule_one = [&] {
+    const auto src = static_cast<ProcessId>(1 + next % 3);
+    const auto dst = static_cast<ProcessId>(1 + (next + 1) % 3);
+    const std::uint64_t incarnation = next;
+    const Duration delay = 1 + static_cast<Duration>((next * 7) % 64);
+    ++next;
+    return sched.schedule_after(
+        delay, [&sink, src, dst, incarnation, msg = payload] {
+          sink += src + dst + incarnation + msg.size();
+        });
+  };
+  for (int i = 0; i < 64; ++i) schedule_one();
+  for (auto _ : state) {
+    schedule_one();
+    sched.cancel(schedule_one());
+    schedule_one();
+    sched.step();
+    sched.step();
+  }
+  benchmark::DoNotOptimize(sink);
+  report_ns_per_op(state, 3);  // per scheduled event
+}
+BENCHMARK(BM_SchedulerPayloadEvents);
+
+// The simulated network alone: 3 Setup-1 nodes, each sending 40 B to the
+// next in turn, one message per 200 µs of simulated time (each CPU is a
+// fifth busy). Every message runs the full pipeline: sender CPU, NIC,
+// wire, receiver CPU.
+void BM_SimNetworkPipeline(benchmark::State& state) {
+  sim::Scheduler sched;
+  net::SimNetwork net(sched, 3, net::NetModel::setup1(), Rng(1));
+  std::uint64_t delivered = 0;
+  net.set_deliver([&delivered](ProcessId, ProcessId, BytesView msg) {
+    delivered += msg.size();
+  });
+  const Payload msg = Payload::wrap(Bytes(40, 7));
+  std::uint64_t sent = 0;
+  const std::uint64_t events_before = sched.events_executed();
+  for (auto _ : state) {
+    const auto src = static_cast<ProcessId>(1 + sent % 3);
+    net.send(src, static_cast<ProcessId>(1 + src % 3), msg);
+    ++sent;
+    sched.run_until(sched.now() + microseconds(200));
+  }
+  benchmark::DoNotOptimize(delivered);
+  const auto events =
+      static_cast<double>(sched.events_executed() - events_before);
+  report_ns_per_op(state, 1);  // per message
+  state.counters["ns_per_event"] = benchmark::Counter(
+      events, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["events_per_msg"] =
+      events / static_cast<double>(std::max<std::uint64_t>(sent, 1));
+}
+BENCHMARK(BM_SimNetworkPipeline);
 
 void BM_SimulatedAbcast(benchmark::State& state) {
   // Wall-clock cost of simulating one second of a 3-process Setup-1

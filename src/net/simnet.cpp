@@ -66,9 +66,9 @@ void SimNetwork::send(ProcessId src, ProcessId dst, Payload msg) {
   if (dst == src) {
     // Loopback: a flat CPU cost, no NIC, no propagation.
     const TimePoint done = cpu_enqueue(src, model_.self_delivery_cost);
-    sched_.schedule_at(done, [this, src, dst, incarnation,
-                              msg = std::move(msg)] {
-      if (!task_died(src, incarnation)) deliver_now(src, dst, msg);
+    schedule_task(done, [this, src, dst, incarnation,
+                         msg = std::move(msg)]() mutable {
+      if (!task_died(src, incarnation)) deliver_now(src, dst, std::move(msg));
     });
     return;
   }
@@ -78,12 +78,12 @@ void SimNetwork::send(ProcessId src, ProcessId dst, Payload msg) {
       model_.send_overhead +
       static_cast<Duration>(msg.size()) * model_.cpu_per_byte_send;
   const TimePoint done = cpu_enqueue(src, cost);
-  sched_.schedule_at(done, [this, src, dst, incarnation,
-                            msg = std::move(msg)] {
+  schedule_task(done, [this, src, dst, incarnation,
+                       msg = std::move(msg)]() mutable {
     // The CPU task dies with the process: a crash between enqueue and
     // completion drops the message before it reaches the NIC, even if
     // the process has restarted since.
-    if (!task_died(src, incarnation)) nic_add(src, dst, msg);
+    if (!task_died(src, incarnation)) nic_add(src, dst, std::move(msg));
   });
 }
 
@@ -164,8 +164,8 @@ void SimNetwork::leave_nic(ProcessId src, ProcessId dst, Payload msg) {
   }
   if (release != 0) {
     ++counters_.delayed_fault;
-    sched_.schedule_at(release, [this, src, dst, msg = std::move(msg)] {
-      release_held(src, dst, msg);
+    schedule_task(release, [this, src, dst, msg = std::move(msg)]() mutable {
+      release_held(src, dst, std::move(msg));
     });
     return;
   }
@@ -218,9 +218,10 @@ void SimNetwork::release_held(ProcessId src, ProcessId dst, Payload msg) {
 void SimNetwork::wire_transit(ProcessId src, ProcessId dst, Payload msg,
                               Duration extra_delay) {
   const Duration transit = model_.propagation + draw_jitter() + extra_delay;
-  sched_.schedule_after(transit, [this, src, dst, msg = std::move(msg)] {
-    arrive(src, dst, msg);
-  });
+  schedule_task(sched_.now() + transit,
+                [this, src, dst, msg = std::move(msg)]() mutable {
+                  arrive(src, dst, std::move(msg));
+                });
 }
 
 void SimNetwork::arrive(ProcessId src, ProcessId dst, Payload msg) {
@@ -232,9 +233,9 @@ void SimNetwork::arrive(ProcessId src, ProcessId dst, Payload msg) {
       model_.recv_overhead +
       static_cast<Duration>(msg.size()) * model_.cpu_per_byte_recv;
   const TimePoint done = cpu_enqueue(dst, cost);
-  sched_.schedule_at(done, [this, src, dst, incarnation = incarnation_[dst],
-                            msg = std::move(msg)] {
-    if (!task_died(dst, incarnation)) deliver_now(src, dst, msg);
+  schedule_task(done, [this, src, dst, incarnation = incarnation_[dst],
+                       msg = std::move(msg)]() mutable {
+    if (!task_died(dst, incarnation)) deliver_now(src, dst, std::move(msg));
   });
 }
 

@@ -31,6 +31,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/faults.hpp"
@@ -166,6 +168,16 @@ class SimNetwork {
     TimePoint last_update = 0;
     sim::EventId completion_event = 0;  // 0 = none scheduled
   };
+
+  /// Schedules one stage of the pipeline at `t`. Each stage captures at
+  /// most `this`, two ids, an incarnation and the Payload, which EventFn
+  /// stores inline: an event in flight costs no heap block.
+  template <class Task>
+  void schedule_task(TimePoint t, Task&& task) {
+    static_assert(sim::EventFn::stored_inline<std::decay_t<Task>>(),
+                  "a network task outgrew EventFn's inline buffer");
+    sched_.schedule_at(t, std::forward<Task>(task));
+  }
 
   /// Appends `cost` to p's CPU queue; returns the completion time.
   TimePoint cpu_enqueue(ProcessId p, Duration cost);

@@ -29,20 +29,24 @@ void SimEnv::multicast(Payload msg) {
   }
 }
 
+sim::EventFn SimEnv::guarded(TimerFn fn) {
+  auto task = [this, epoch = epoch_, fn = std::move(fn)] {
+    if (!net_.crashed(self_) && epoch == epoch_) fn();
+  };
+  static_assert(sim::EventFn::stored_inline<decltype(task)>(),
+                "the timer wrapper outgrew EventFn's inline buffer");
+  return task;
+}
+
 TimerId SimEnv::set_timer(Duration delay, TimerFn fn) {
   IBC_REQUIRE(delay >= 0);
-  return sched_.schedule_after(
-      delay, [this, epoch = epoch_, fn = std::move(fn)] {
-        if (!net_.crashed(self_) && epoch == epoch_) fn();
-      });
+  return sched_.schedule_after(delay, guarded(std::move(fn)));
 }
 
 void SimEnv::cancel_timer(TimerId id) { sched_.cancel(id); }
 
 void SimEnv::defer(TimerFn fn) {
-  sched_.schedule_after(0, [this, epoch = epoch_, fn = std::move(fn)] {
-    if (!net_.crashed(self_) && epoch == epoch_) fn();
-  });
+  sched_.schedule_after(0, guarded(std::move(fn)));
 }
 
 void SimEnv::charge_cpu(Duration cost) { net_.charge_cpu(self_, cost); }

@@ -46,6 +46,10 @@ class SimEnv final : public Env {
   void bump_epoch() { ++epoch_; }
 
  private:
+  /// Wraps a timer or deferred callback so it fires only into the
+  /// incarnation that armed it, and only while that one is alive.
+  sim::EventFn guarded(TimerFn fn);
+
   sim::Scheduler& sched_;
   net::SimNetwork& net_;
   ProcessId self_;

@@ -1,52 +1,76 @@
 #include "sim/scheduler.hpp"
 
+#include <limits>
+
 namespace ibc::sim {
 
 EventId Scheduler::schedule_at(TimePoint t, EventFn fn) {
   IBC_REQUIRE_MSG(t >= now_, "cannot schedule events in the past");
-  IBC_REQUIRE(fn != nullptr);
-  const EventId id = next_id_++;
-  queue_.push(Entry{t, next_seq_++, id,
-                    std::make_shared<EventFn>(std::move(fn))});
-  live_.insert(id);
-  return id;
+  IBC_REQUIRE(static_cast<bool>(fn));
+  auto index = static_cast<std::uint32_t>(slots_.size());
+  if (free_.empty()) {
+    IBC_REQUIRE(slots_.size() < std::numeric_limits<std::uint32_t>::max());
+    slots_.emplace_back();
+  } else {
+    index = free_.back();
+    free_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.fn = std::move(fn);
+  queue_.push(Entry{t, next_seq_++, index});
+  ++live_;
+  return (EventId{slot.generation} << 32) | index;
 }
 
-bool Scheduler::pop_next(Entry& out) {
+void Scheduler::cancel(EventId id) {
+  const auto index = static_cast<std::uint32_t>(id);
+  if (index >= slots_.size()) return;
+  Slot& slot = slots_[index];
+  if (slot.generation != (id >> 32) || !slot.fn) return;
+  // Moved out first: the captures' destructors may re-enter the scheduler.
+  const EventFn doomed = std::move(slot.fn);
+  --live_;
+}
+
+void Scheduler::release(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  if (++slot.generation == 0) slot.generation = 1;
+  free_.push_back(index);
+}
+
+bool Scheduler::skip_cancelled() {
   while (!queue_.empty()) {
-    Entry e = queue_.top();
+    const std::uint32_t index = queue_.top().slot;
+    if (slots_[index].fn) return true;
     queue_.pop();
-    if (live_.erase(e.id) > 0) {
-      out = std::move(e);
-      return true;
-    }
-    // Cancelled: drop silently.
+    release(index);
   }
   return false;
 }
 
 bool Scheduler::step() {
-  Entry e;
-  if (!pop_next(e)) return false;
+  if (!skip_cancelled()) return false;
+  const Entry e = queue_.top();
+  queue_.pop();
+  // The callback leaves its slot before it runs: it may schedule (growing
+  // the slot vector) or cancel its own, already stale, id.
+  EventFn fn = std::move(slots_[e.slot].fn);
+  release(e.slot);
+  --live_;
   IBC_ASSERT(e.time >= now_);
   now_ = e.time;
   ++executed_;
-  (*e.fn)();
+  fn();
   return true;
 }
 
 std::size_t Scheduler::run_until(TimePoint t) {
   IBC_REQUIRE(t >= now_);
   std::size_t executed = 0;
-  while (!queue_.empty()) {
-    // Peek: stop before events beyond the horizon.
-    const Entry& top = queue_.top();
-    if (!live_.contains(top.id)) {
-      queue_.pop();
-      continue;
-    }
-    if (top.time > t) break;
-    if (step()) ++executed;
+  // Peek: stop before events beyond the horizon.
+  while (skip_cancelled() && queue_.top().time <= t) {
+    step();
+    ++executed;
   }
   now_ = t;
   return executed;

@@ -5,28 +5,35 @@
 // order they were scheduled — together with seeded RNG streams this makes
 // every simulation bit-reproducible.
 //
+// Storage: the heap orders plain {time, seq, slot} entries; each event's
+// callback lives in a reusable slot of a vector. A slot returns to a LIFO
+// free list when its heap entry pops (fired or cancelled), so steady-state
+// scheduling allocates nothing: EventFn keeps small captures inline. An
+// EventId names a slot plus that slot's generation, which is bumped on
+// every release, so a stale id (fired, or its slot reused) cancels nothing.
+//
 // The scheduler is strictly single-threaded: all protocol code, network
 // model code and test harness code runs inside event callbacks.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
+#include "sim/event_fn.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
 
 namespace ibc::sim {
 
-/// Identifies a scheduled event so it can be cancelled. 0 is never issued.
+/// Identifies a scheduled event so it can be cancelled: the slot's
+/// generation in the high 32 bits, the slot index in the low 32. A
+/// generation is never 0, so 0 is never issued.
 using EventId = std::uint64_t;
 
 class Scheduler {
  public:
-  using EventFn = std::function<void()>;
+  using EventFn = sim::EventFn;
 
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
@@ -44,10 +51,10 @@ class Scheduler {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
-  /// Cancels a pending event. Cancelling an already-fired or already-
-  /// cancelled event is a harmless no-op (timer races are normal in
-  /// protocol code).
-  void cancel(EventId id) { live_.erase(id); }
+  /// Cancels a pending event and destroys its callback at once.
+  /// Cancelling an already-fired or already-cancelled event is a harmless
+  /// no-op (timer races are normal in protocol code).
+  void cancel(EventId id);
 
   /// Executes the next event, if any. Returns false when the queue is
   /// empty (cancelled events are skipped silently).
@@ -62,7 +69,7 @@ class Scheduler {
   /// protocol — callers treat it as a failure.
   std::size_t run_all(std::size_t max_events = kDefaultEventLimit);
 
-  bool empty() const { return live_.empty(); }
+  bool empty() const { return live_ == 0; }
 
   /// Total events executed so far (diagnostics / benchmarks).
   std::uint64_t events_executed() const { return executed_; }
@@ -73,10 +80,7 @@ class Scheduler {
   struct Entry {
     TimePoint time;
     std::uint64_t seq;  // tie-break: FIFO among equal times
-    EventId id;
-    // shared_ptr so entries are copyable inside std::priority_queue while
-    // the callback itself can hold move-only state.
-    std::shared_ptr<EventFn> fn;
+    std::uint32_t slot;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -84,16 +88,25 @@ class Scheduler {
       return a.seq > b.seq;
     }
   };
+  /// A pending event's callback; empty once cancelled. Reserved from
+  /// schedule until its heap entry pops.
+  struct Slot {
+    EventFn fn;
+    std::uint32_t generation = 1;
+  };
 
-  /// Pops the next live event; false if none.
-  bool pop_next(Entry& out);
+  /// Pops and releases cancelled entries off the top of the heap.
+  /// Returns false if no pending event remains.
+  bool skip_cancelled();
+  void release(std::uint32_t slot);
 
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
+  std::size_t live_ = 0;  // scheduled, neither fired nor cancelled
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<EventId> live_;  // ids scheduled and not yet fired
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;  // LIFO: the warmest slot first
 };
 
 }  // namespace ibc::sim

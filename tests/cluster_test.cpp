@@ -90,6 +90,110 @@ TEST(Cluster, SameConfigAndSeedReplaysBitIdenticalLogs) {
   }
 }
 
+/// What a simulated run did, pinned by the schedule regression tests:
+/// the scheduler's event count, the accepted sends, and an FNV-1a digest
+/// of each process's delivery sequence (id, time, payload bytes).
+struct ScheduleFingerprint {
+  std::uint64_t events = 0;
+  std::uint64_t messages_sent = 0;
+  std::vector<std::uint64_t> digests;  // [0] = p1
+};
+
+ScheduleFingerprint fingerprint(Cluster& cluster) {
+  ScheduleFingerprint out;
+  out.events =
+      cluster.host().sim_network()->scheduler().events_executed();
+  out.messages_sent = cluster.stats().messages_sent;
+  for (ProcessId p = 1; p <= cluster.n(); ++p) {
+    std::uint64_t h = 14695981039346656037ull;
+    const auto mix = [&h](std::uint64_t word) {
+      for (int i = 0; i < 8; ++i) {
+        h ^= (word >> (8 * i)) & 0xFF;
+        h *= 1099511628211ull;
+      }
+    };
+    for (const Cluster::Delivery& d : cluster.log(p)) {
+      mix(d.id.origin);
+      mix(d.id.seq);
+      mix(static_cast<std::uint64_t>(d.at));
+      for (const std::uint8_t byte : d.payload.view()) mix(byte);
+    }
+    out.digests.push_back(h);
+  }
+  return out;
+}
+
+void expect_fingerprint(const ScheduleFingerprint& got,
+                        const ScheduleFingerprint& pinned) {
+  EXPECT_EQ(got.events, pinned.events);
+  EXPECT_EQ(got.messages_sent, pinned.messages_sent);
+  ASSERT_EQ(got.digests.size(), pinned.digests.size());
+  for (std::size_t i = 0; i < got.digests.size(); ++i) {
+    EXPECT_EQ(got.digests[i], pinned.digests[i]) << "p" << i + 1;
+  }
+}
+
+// The two runs below pin the simulated schedule itself: which events ran,
+// in which order, and what every process delivered when. A change that
+// only makes the simulator or the protocol cheaper must leave them
+// untouched. A change that deliberately alters the simulated schedule
+// (a new cost, a new message, a different timer) updates the constants
+// and says so in CHANGES.md.
+
+TEST(ScheduleRegression, PaperStackOnSetup1) {
+  SCOPED_TRACE(test::repro_hint(1));
+  Cluster cluster(ClusterOptions{}
+                      .with_n(3)
+                      .with_seed(1)
+                      .with_model(net::NetModel::setup1()));
+  for (int i = 0; i < 300; ++i) {
+    cluster.node(1 + i % 3).abroadcast("pin-" + std::to_string(i));
+    cluster.run_for(microseconds(300));
+  }
+  cluster.run_until_quiesced(milliseconds(400), seconds(30));
+  ASSERT_EQ(cluster.log(1).size(), 300u);
+  EXPECT_TRUE(cluster.prefix_consistent());
+  expect_fingerprint(fingerprint(cluster),
+                     {9099,
+                      2604,
+                      {4950797204334852428ull, 14494521229645500616ull,
+                       13809219985252619064ull}});
+}
+
+TEST(ScheduleRegression, RingWithRecoveryRestartsCoordinatorN5) {
+  SCOPED_TRACE(test::repro_hint(2));
+  abcast::StackConfig stack;
+  stack.rb = abcast::RbKind::kRing;
+  stack.pipeline_depth = 4;
+  stack.batch.max_msgs = 8;
+  stack.batch.max_delay = milliseconds(2);
+  Cluster cluster(ClusterOptions{}
+                      .with_n(5)
+                      .with_seed(2)
+                      .with_model(net::NetModel::setup1())
+                      .with_stack(stack)
+                      .with_recovery()
+                      .with_crash(milliseconds(100), 2)
+                      .with_restart(milliseconds(300), 2));
+  for (int i = 0; i < 400; ++i) {
+    const ProcessId p = 1 + static_cast<ProcessId>(i % 5);
+    if (!cluster.host().crashed(p)) {
+      cluster.node(p).abroadcast("pin-" + std::to_string(i));
+    }
+    cluster.run_for(milliseconds(1));
+  }
+  cluster.run_until_quiesced(milliseconds(800), seconds(30));
+  EXPECT_TRUE(cluster.prefix_consistent());
+  EXPECT_EQ(cluster.log(2).size(), cluster.log(1).size());
+  EXPECT_GT(cluster.stats().catchup_ids_fetched, 0u);
+  expect_fingerprint(fingerprint(cluster),
+                     {45196,
+                      11907,
+                      {18119454788354022750ull, 3420519965110072032ull,
+                       18414287641501883040ull, 18306370364818885814ull,
+                       6477684692917143560ull}});
+}
+
 TEST(Cluster, CrashScheduleFromOptionsFires) {
   SCOPED_TRACE(test::repro_hint(21));
   Cluster cluster(ClusterOptions{}

@@ -133,9 +133,26 @@ TEST(Recovery, SimRestartMidBatchExpandsExactlyOnce) {
                       .with_recovery()
                       .with_crash(milliseconds(150), 3)
                       .with_restart(milliseconds(350), 3));
-  drive_load(cluster, /*rounds=*/80, milliseconds(5));
+  // Three messages per live process every 5 ms: one message per 5 ms
+  // against a 5 ms max_delay would make every batch a batch of one.
+  std::uint64_t p3_batches = 0;
+  std::uint64_t p3_msgs = 0;
+  for (int i = 0; i < 80; ++i) {
+    drive_load(cluster, /*rounds=*/3, /*pause=*/0);
+    cluster.run_for(milliseconds(5));
+    if (!cluster.host().crashed(3) && cluster.now() < milliseconds(150)) {
+      const core::OrderingCore* ordering = cluster.node(3).stack().ordering();
+      p3_batches = ordering->delivered_count();
+      p3_msgs = ordering->msgs_delivered();
+    }
+  }
   cluster.run_until_quiesced(milliseconds(400), seconds(30));
   expect_full_recovery(cluster, 3);
+  const core::OrderingCore* reference = cluster.node(1).stack().ordering();
+  EXPECT_LT(reference->delivered_count(), reference->msgs_delivered())
+      << "no batch formed";
+  EXPECT_LT(p3_batches, p3_msgs)
+      << "p3 delivered no multi-message batch before its crash";
 }
 
 TEST(Recovery, SimRestartFromBatchedSnapshotAndLogTailDeliversOnce) {
