@@ -419,7 +419,7 @@ void BM_SimulatedAbcast(benchmark::State& state) {
   // point.
   for (auto _ : state) {
     workload::ExperimentConfig cfg;
-    cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+    cfg.cluster.stack.rcv_check_cost_per_id =
         cfg.cluster.model.rcv_check_cost_per_id;
     cfg.payload_bytes = 64;
     cfg.throughput_msgs_per_sec = 100;

@@ -89,100 +89,68 @@ ProcessStack::ProcessStack(runtime::Host& host, ProcessId p,
   }
   bcast_ = bcast_owned_.get();
 
-  // Consensus engine + atomic broadcast.
-  if (config.variant == Variant::kIndirect) {
-    if (config.algo == ConsensusAlgo::kCt) {
-      indirect_consensus_ = std::make_unique<core::CtIndirect>(
-          stack_, runtime::kLayerConsensus, *fd_, config.indirect);
-    } else {
-      indirect_consensus_ = std::make_unique<core::MrIndirect>(
-          stack_, runtime::kLayerConsensus, *fd_, config.indirect);
-    }
-    abcast_ = std::make_unique<core::AbcastIndirect>(
-        env, *bcast_, *indirect_consensus_, config.pipeline_depth,
-        config.batch);
-    apply_injected_bugs(config, mutable_ordering());
-    if (durable != nullptr) {
-      // Recover whatever the store holds (empty on first boot), load it
-      // into the fresh core, then install the journal so every
-      // subsequent event is logged.
-      recovery_ = std::make_unique<recovery::RecoveryManager>(
-          *durable, recovery_config);
-      auto* ind = static_cast<core::AbcastIndirect*>(abcast_.get());
-      const recovery::RecoveryManager::Recovered& rec =
-          recovery_->recovered();
-      ind->mutable_ordering().restore(rec.core);
-      // Instances up to opened_k may have been voted in by the previous
-      // incarnation; this one abstains from them (D6) — and must say so,
-      // or peers wait forever on it as those rounds' coordinator.
-      indirect_consensus_->set_participation_floor(rec.core.opened_k);
-      ind->restore_seq(rec.reserved_seq);
-      // Each broadcast frame consumes at least one reserved abcast seq
-      // and reservations are synced before use, so reserved_seq bounds
-      // every prior incarnation's broadcast-seq usage: rebasing here
-      // keeps this incarnation's frames out of peers' dedup tables.
-      bcast_->set_seq_base(rec.reserved_seq);
-      ind->set_journal(recovery_.get());
-      recovery_->attach(&ind->ordering());
-      catchup_ =
-          std::make_unique<recovery::CatchupLayer>(*recovery_, *ind);
-      catchup_->bind(stack_.register_layer(recovery::kLayerCatchup,
-                                           *catchup_, "catchup"));
-      recovery_->set_apply_listener(
-          [c = catchup_.get()] { c->notify_decision_applied(); });
-    }
-    return;
-  }
-
+  // Consensus engine + atomic broadcast. The indirect engine's rcv reads
+  // ordering_, which is set below, before any propose can happen.
+  const bool indirect = config.variant == Variant::kIndirect;
+  const Duration rcv_cost = config.rcv_check_cost_per_id;
+  const core::RcvFn rcv = [this](const core::IdSet& v) {
+    return ordering_->rcv(v);
+  };
   if (config.algo == ConsensusAlgo::kCt) {
-    plain_consensus_ = std::make_unique<consensus::CtConsensus>(
-        stack_, runtime::kLayerConsensus, *fd_);
+    consensus_ = std::make_unique<consensus::CtConsensus>(
+        stack_, runtime::kLayerConsensus, *fd_,
+        indirect ? core::indirect_ct(env, rcv_cost, rcv)
+                 : consensus::CtConfig{});
   } else {
-    plain_consensus_ = std::make_unique<consensus::MrConsensus>(
-        stack_, runtime::kLayerConsensus, *fd_);
+    consensus_ = std::make_unique<consensus::MrConsensus>(
+        stack_, runtime::kLayerConsensus, *fd_,
+        indirect ? core::indirect_mr(env, rcv_cost, rcv)
+                 : consensus::MrConfig{});
   }
+  core::AbcastIds* ids = nullptr;
   if (config.variant == Variant::kMsgs) {
-    abcast_ = std::make_unique<AbcastMsgs>(env, *bcast_, *plain_consensus_,
+    abcast_ = std::make_unique<AbcastMsgs>(env, *bcast_, *consensus_,
                                            config.batch);
   } else {
-    abcast_ = std::make_unique<AbcastIds>(env, *bcast_, *plain_consensus_,
-                                          config.pipeline_depth,
-                                          config.batch);
+    auto owned = std::make_unique<core::AbcastIds>(
+        env, *bcast_, *consensus_, config.pipeline_depth, config.batch);
+    ids = owned.get();
+    ordering_ = &owned->mutable_ordering();
+    abcast_ = std::move(owned);
   }
-  apply_injected_bugs(config, mutable_ordering());
-}
+  apply_injected_bugs(config, ordering_);
+  if (durable == nullptr) return;
 
-const core::OrderingCore* ProcessStack::ordering() const {
-  if (const auto* ind =
-          dynamic_cast<const core::AbcastIndirect*>(abcast_.get())) {
-    return &ind->ordering();
-  }
-  if (const auto* ids = dynamic_cast<const AbcastIds*>(abcast_.get())) {
-    return &ids->ordering();
-  }
-  return nullptr;
-}
-
-core::OrderingCore* ProcessStack::mutable_ordering() {
-  if (auto* ind = dynamic_cast<core::AbcastIndirect*>(abcast_.get())) {
-    return &ind->mutable_ordering();
-  }
-  if (auto* ids = dynamic_cast<AbcastIds*>(abcast_.get())) {
-    return &ids->mutable_ordering();
-  }
-  return nullptr;
+  // Recover whatever the store holds (empty on first boot), load it into
+  // the fresh core, then install the journal so every subsequent event
+  // is logged.
+  recovery_ =
+      std::make_unique<recovery::RecoveryManager>(*durable, recovery_config);
+  const recovery::RecoveryManager::Recovered& rec = recovery_->recovered();
+  ordering_->restore(rec.core);
+  // Instances up to opened_k may have been voted in by the previous
+  // incarnation; this one abstains from them (D6) — and must say so, or
+  // peers wait forever on it as those rounds' coordinator.
+  consensus_->set_participation_floor(rec.core.opened_k);
+  ids->restore_seq(rec.reserved_seq);
+  // Each broadcast frame consumes at least one reserved abcast seq and
+  // reservations are synced before use, so reserved_seq bounds every
+  // prior incarnation's broadcast-seq usage: rebasing here keeps this
+  // incarnation's frames out of peers' dedup tables.
+  bcast_->set_seq_base(rec.reserved_seq);
+  ids->set_journal(recovery_.get());
+  recovery_->attach(ordering_);
+  catchup_ = std::make_unique<recovery::CatchupLayer>(*recovery_, *ordering_);
+  catchup_->bind(
+      stack_.register_layer(recovery::kLayerCatchup, *catchup_, "catchup"));
+  recovery_->set_apply_listener(
+      [c = catchup_.get()] { c->notify_decision_applied(); });
 }
 
 void ProcessStack::begin_catchup() {
   IBC_REQUIRE_MSG(catchup_ != nullptr,
                   "begin_catchup needs a recovery-enabled stack");
   catchup_->begin();
-}
-
-const consensus::Consensus::Stats& ProcessStack::consensus_stats() const {
-  if (indirect_consensus_ != nullptr) return indirect_consensus_->stats();
-  IBC_ASSERT(plain_consensus_ != nullptr);
-  return plain_consensus_->stats();
 }
 
 }  // namespace ibc::abcast

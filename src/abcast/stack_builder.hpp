@@ -15,12 +15,16 @@
 //             dissemination, O(n) wire messages, 1 send per node per
 //             frame — docs/PROTOCOL.md D7)
 //   fd        kHeartbeat (runs anywhere) / kPerfect (simulation oracle)
+//
+// kIndirect and kIdsPlain build the same Algorithm 1 (core::AbcastIds)
+// over the same CT or MR engine; they differ only in the engine's
+// configuration: the indirect decision points of core/indirect.hpp, or
+// the original algorithm's defaults. kMsgs is abcast::AbcastMsgs.
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "abcast/abcast_ids.hpp"
 #include "abcast/abcast_msgs.hpp"
 #include "abcast/batcher.hpp"
 #include "bcast/rb_fd.hpp"
@@ -29,9 +33,8 @@
 #include "bcast/urb.hpp"
 #include "consensus/ct.hpp"
 #include "consensus/mr.hpp"
-#include "core/abcast_indirect.hpp"
-#include "core/ct_indirect.hpp"
-#include "core/mr_indirect.hpp"
+#include "core/abcast_ids.hpp"
+#include "core/indirect.hpp"
 #include "fd/heartbeat_fd.hpp"
 #include "fd/perfect_fd.hpp"
 #include "net/simnet.hpp"
@@ -56,7 +59,10 @@ struct StackConfig {
   fd::HeartbeatConfig heartbeat = {};
   /// Suspicion delay of the oracle detector (kPerfect only).
   Duration perfect_fd_delay = milliseconds(5);
-  core::IndirectConfig indirect = {};
+  /// Simulated CPU charged per id on every rcv evaluation of indirect
+  /// consensus (kIndirect only; 0 = free). Sweeps copy it from
+  /// `NetModel::rcv_check_cost_per_id`.
+  Duration rcv_check_cost_per_id = 0;
   /// How many consensus instances the id-ordering core keeps in flight
   /// (W). 1 = the paper's sequential Algorithm 1; larger windows
   /// pipeline ordering for throughput (kIndirect and kIdsPlain; kMsgs
@@ -118,14 +124,15 @@ class ProcessStack {
 
   /// Algorithm-1 ordering state; nullptr for the kMsgs variant (which
   /// has no id-ordering queue).
-  const core::OrderingCore* ordering() const;
-  core::OrderingCore* mutable_ordering();
+  const core::OrderingCore* ordering() const { return ordering_; }
 
   /// The abcast layer's sender-side batcher (dissemination counters).
   const Batcher* batcher() const { return abcast_->batcher(); }
 
   /// Engine counters regardless of variant.
-  const consensus::Consensus::Stats& consensus_stats() const;
+  const consensus::Consensus::Stats& consensus_stats() const {
+    return consensus_->stats();
+  }
 
   /// Recovery wiring (null unless built with a durable store).
   recovery::RecoveryManager* recovery_manager() { return recovery_.get(); }
@@ -147,10 +154,11 @@ class ProcessStack {
   std::unique_ptr<bcast::BroadcastService> bcast_owned_;
   bcast::BroadcastService* bcast_ = nullptr;
 
-  std::unique_ptr<consensus::Consensus> plain_consensus_;
-  std::unique_ptr<core::IndirectConsensus> indirect_consensus_;
+  std::unique_ptr<consensus::Consensus> consensus_;
 
   std::unique_ptr<core::AbcastService> abcast_;
+  /// The id-ordering state of core::AbcastIds; null for kMsgs.
+  core::OrderingCore* ordering_ = nullptr;
 
   std::unique_ptr<recovery::RecoveryManager> recovery_;
   std::unique_ptr<recovery::CatchupLayer> catchup_;

@@ -12,7 +12,8 @@
 //   * MrConsensus — Mostéfaoui-Raynal ♦S quorum algorithm, f < n/2,
 //     2 communication steps in good runs (consensus/mr.hpp).
 // Both expose the exact decision points the paper modifies to obtain
-// indirect consensus (core/ct_indirect.hpp, core/mr_indirect.hpp).
+// indirect consensus (`CtConfig`, `MrConfig`; the indirect settings of
+// those points are built in core/indirect.hpp).
 #pragma once
 
 #include <cstdint>
@@ -53,6 +54,13 @@ class Consensus {
   virtual void propose(InstanceId k, Bytes value) = 0;
 
   virtual bool has_decided(InstanceId k) const = 0;
+
+  /// Restart-amnesia floor (docs/PROTOCOL.md D6): this incarnation must
+  /// not vote in any instance k <= floor, and announces its abstention
+  /// instead of staying silent (a silent alive abstainer wedges the
+  /// rounds it would coordinate — peers neither see a proposal nor a
+  /// suspicion).
+  virtual void set_participation_floor(InstanceId floor) = 0;
 
   /// Registers a decision handler; fired exactly once per instance, in
   /// the instance's decision order at this process (instances may decide

@@ -74,7 +74,9 @@ class CtConsensus final : public runtime::Layer, public Consensus {
   /// so ♦S never suspects it, and without a proposal or a suspicion the
   /// other processes wait forever. Peers treat an announced abstention
   /// exactly like a suspicion of that coordinator for those instances.
-  void set_participation_floor(InstanceId floor) { floor_ = floor; }
+  void set_participation_floor(InstanceId floor) override {
+    floor_ = floor;
+  }
 
   void on_start() override;
   void on_message(ProcessId from, Reader& r) override;

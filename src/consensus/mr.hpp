@@ -70,7 +70,9 @@ class MrConsensus final : public runtime::Layer, public Consensus {
   /// peers waiting on us as a round's coordinator treat us like a
   /// suspected process instead of waiting forever — we are alive, so ♦S
   /// alone would never unblock them.
-  void set_participation_floor(InstanceId floor) { floor_ = floor; }
+  void set_participation_floor(InstanceId floor) override {
+    floor_ = floor;
+  }
 
   void on_start() override;
   void on_message(ProcessId from, Reader& r) override;

@@ -1,24 +1,26 @@
-#include "core/abcast_indirect.hpp"
+#include "core/abcast_ids.hpp"
+
+#include "util/assert.hpp"
 
 namespace ibc::core {
 
-AbcastIndirect::AbcastIndirect(runtime::Env& env,
-                               bcast::BroadcastService& rb,
-                               IndirectConsensus& ic,
-                               std::uint32_t pipeline_depth,
-                               const abcast::BatchConfig& batch)
+AbcastIds::AbcastIds(runtime::Env& env, bcast::BroadcastService& rb,
+                     consensus::Consensus& cons,
+                     std::uint32_t pipeline_depth,
+                     const abcast::BatchConfig& batch)
     : env_(env),
       rb_(rb),
-      ic_(ic),
+      cons_(cons),
       core_(OrderingCore::Callbacks{
                 .start_instance =
                     [this](consensus::InstanceId k, const IdSet& proposal) {
-                      // Lines 15-17: propose (unordered, rcv). The rcv
-                      // handed to consensus is Algorithm 1's lines 9-10
-                      // over this process's received set.
-                      ic_.propose(k, proposal, [this](const IdSet& v) {
-                        return core_.rcv(v);
-                      });
+                      // Lines 15-17: propose the unordered ids. The
+                      // proposal is drawn from ids this process has
+                      // received, so the reduction's precondition holds.
+                      IBC_ASSERT_MSG(
+                          core_.rcv(proposal),
+                          "proposer must hold msgs(v) of its own proposal");
+                      cons_.propose(k, proposal.to_value());
                     },
                 .adeliver =
                     [this](const MessageId& id, const Payload& payload) {
@@ -33,27 +35,27 @@ AbcastIndirect::AbcastIndirect(runtime::Env& env,
     abcast::BatchView batch_view = abcast::parse_batch(frame);
     core_.on_rdeliver(batch_view.first, std::move(batch_view.payloads));
   });
-  ic_.subscribe_decide([this](consensus::InstanceId k, const IdSet& ids) {
+  cons_.subscribe_decide([this](consensus::InstanceId k, BytesView value) {
     // After a crash-recovery the core may already hold this instance
     // from log replay or catch-up while peers (or pre-crash messages
     // still in flight) finish deciding it live. Agreement makes the
     // decided value unique per instance, so the late copy adds nothing.
     if (k <= core_.instances_completed()) return;
-    core_.on_decision(k, ids);
+    core_.on_decision(k, IdSet::from_value(value));
   });
 }
 
-void AbcastIndirect::set_journal(OrderingJournal* journal) {
+void AbcastIds::set_journal(OrderingJournal* journal) {
   journal_ = journal;
   core_.set_journal(journal);
 }
 
-void AbcastIndirect::restore_seq(std::uint64_t reserved) {
+void AbcastIds::restore_seq(std::uint64_t reserved) {
   next_seq_ = reserved;
   reserved_seq_ = reserved;
 }
 
-MessageId AbcastIndirect::abroadcast(Bytes payload) {
+MessageId AbcastIds::abroadcast(Bytes payload) {
   if (journal_ != nullptr && next_seq_ >= reserved_seq_) {
     reserved_seq_ = next_seq_ + kSeqReserveChunk;
     journal_->on_reserve_seqs(reserved_seq_);

@@ -3,17 +3,17 @@
 // Uniform atomic broadcast (§2.1): Validity (a correct broadcaster
 // eventually delivers its own message), Uniform integrity (at most once,
 // only if broadcast), Uniform agreement (if *any* process delivers m, all
-// correct processes do) and Uniform total order. Four implementations:
+// correct processes do) and Uniform total order. Two implementations:
 //
-//   * core::AbcastIndirect — Algorithm 1 on indirect consensus (the
-//     paper's contribution; correct with plain reliable broadcast);
+//   * core::AbcastIds — Algorithm 1, ordering ids. Over indirect
+//     consensus it is the paper's contribution, correct with plain
+//     reliable broadcast. Over plain consensus it is correct when
+//     combined with *uniform* reliable broadcast (§4.4); with plain
+//     reliable broadcast it is the folklore FAULTY stack whose Validity
+//     breaks under a crash (§2.2) — kept for the paper's overhead
+//     comparison and the violation demonstration;
 //   * abcast::AbcastMsgs — the [2] reduction, consensus on full messages
-//     (correct; the Figure-1 baseline);
-//   * abcast::AbcastIds — plain consensus on ids. Correct when combined
-//     with *uniform* reliable broadcast (§4.4); with plain reliable
-//     broadcast it is the folklore FAULTY stack whose Validity breaks
-//     under a crash (§2.2) — kept for the paper's overhead comparison
-//     and the violation demonstration.
+//     (correct; the Figure-1 baseline).
 //
 // Delivery subscriptions can be revoked: `subscribe` returns a token for
 // `unsubscribe`, and `subscribe_scoped` returns an RAII `Subscription`

@@ -6,7 +6,7 @@
 // storage dependency — a null journal (the default) is the paper's
 // memory-only protocol, bit for bit.
 //
-// Durability contract, per call site in OrderingCore/AbcastIndirect:
+// Durability contract, per call site in OrderingCore/AbcastIds:
 //
 //   on_open_instance      durable before returning — the caller is
 //                         about to propose in k, and a restarted

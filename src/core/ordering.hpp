@@ -44,8 +44,8 @@
 //
 // The class is transport- and consensus-agnostic: the owner wires
 // `start_instance` to an (indirect or plain) consensus propose and feeds
-// R-deliveries and decisions back in. `rcv` implements lines 9-10 and is
-// handed to indirect consensus by AbcastIndirect.
+// R-deliveries and decisions back in. `rcv` implements lines 9-10; the
+// stack binds it into indirect consensus (core/indirect.hpp).
 #pragma once
 
 #include <cstdint>

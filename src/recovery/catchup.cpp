@@ -39,14 +39,14 @@ void CatchupLayer::begin() {
   ctx_.log().logf(LogLevel::kInfo,
                   "catch-up: begin (applied_k=%llu, backlog=%zu)",
                   static_cast<unsigned long long>(
-                      abcast_.ordering().instances_completed()),
-                  abcast_.ordering().ordered_backlog());
+                      ordering_.instances_completed()),
+                  ordering_.ordered_backlog());
   ctx_.set_timer(milliseconds(1), [this] { poll(); });
 }
 
 void CatchupLayer::notify_decision_applied() {
   if (!begun_ || !done_) return;
-  if (abcast_.ordering().missing_payload_ids(1).empty()) return;
+  if (ordering_.missing_payload_ids(1).empty()) return;
   ctx_.log().logf(LogLevel::kInfo,
                   "catch-up: re-armed (post-catch-up decision ordered a "
                   "payload this incarnation never received)");
@@ -57,14 +57,13 @@ void CatchupLayer::notify_decision_applied() {
 
 void CatchupLayer::poll() {
   if (done_) return;
-  const core::OrderingCore& core = abcast_.ordering();
-  const bool want_state = !state_synced_ || core.has_decision_gap();
+  const bool want_state = !state_synced_ || ordering_.has_decision_gap();
   const std::vector<MessageId> missing =
-      core.missing_payload_ids(kMaxPayloadReq);
+      ordering_.missing_payload_ids(kMaxPayloadReq);
   if (want_state) {
     Writer w;
     w.u8(static_cast<std::uint8_t>(Tag::kReqState));
-    w.u64(core.instances_completed() + 1);
+    w.u64(ordering_.instances_completed() + 1);
     ctx_.send_to_others(w.view());
   }
   if (!missing.empty()) {
@@ -84,7 +83,7 @@ void CatchupLayer::poll() {
       done_ = true;
       ctx_.log().logf(LogLevel::kInfo, "catch-up: done (applied_k=%llu)",
                       static_cast<unsigned long long>(
-                          core.instances_completed()));
+                          ordering_.instances_completed()));
       return;
     }
   } else {
@@ -146,10 +145,9 @@ void CatchupLayer::handle_resp_state(Reader& r) {
     // Feeding an applied instance again would trip on_decision's
     // sequencing contract; overlapping responses from several peers make
     // that a normal case, not an error.
-    if (k <= abcast_.ordering().instances_completed()) continue;
+    if (k <= ordering_.instances_completed()) continue;
     fed += m;
-    abcast_.mutable_ordering().on_decision(
-        k, core::IdSet::from_unsorted(std::move(ids)));
+    ordering_.on_decision(k, core::IdSet::from_unsorted(std::move(ids)));
   }
   manager_.count_catchup_ids(fed);
   // A short response is the peer saying "nothing further": state sync
@@ -165,7 +163,7 @@ void CatchupLayer::handle_req_payload(ProcessId from, Reader& r) {
     const MessageId id = r.message_id();
     const std::vector<Payload>* payloads = manager_.archived(id);
     if (payloads == nullptr) {
-      payloads = abcast_.ordering().payloads_of(id);
+      payloads = ordering_.payloads_of(id);
     }
     if (payloads == nullptr) continue;
     ++found;
@@ -191,13 +189,12 @@ void CatchupLayer::handle_req_pool(ProcessId from) {
   // a caught-up process's complete pool carries the flag that ends the
   // requester's poll — an amnesiac pool is not evidence that nothing
   // was lost.
-  const core::OrderingCore& core = abcast_.ordering();
-  const core::IdSet& pool = core.unordered();
+  const core::IdSet& pool = ordering_.unordered();
   Writer body;
   std::uint32_t served = 0;
   for (const MessageId& id : pool) {
     if (served >= kMaxPoolPerResp) break;
-    const std::vector<Payload>* payloads = core.payloads_of(id);
+    const std::vector<Payload>* payloads = ordering_.payloads_of(id);
     if (payloads == nullptr) continue;  // delivered mid-iteration
     ++served;
     body.message_id(id);
@@ -234,12 +231,12 @@ void CatchupLayer::feed_batches(Reader& r, std::uint32_t count) {
     for (std::uint32_t j = 0; j < m; ++j) {
       payloads.push_back(Payload::copy_of(r.blob_view()));
     }
-    if (abcast_.ordering().is_delivered(id)) continue;
+    if (ordering_.is_delivered(id)) continue;
     ++fed;
     manager_.archive(id, payloads);
     // Idempotent: a duplicate of something already received is dropped
     // by on_rdeliver's dedup guard.
-    abcast_.mutable_ordering().on_rdeliver(id, std::move(payloads));
+    ordering_.on_rdeliver(id, std::move(payloads));
   }
   manager_.count_catchup_ids(fed);
 }

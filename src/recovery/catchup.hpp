@@ -42,7 +42,7 @@
 
 #include <cstdint>
 
-#include "core/abcast_indirect.hpp"
+#include "core/ordering.hpp"
 #include "recovery/recovery.hpp"
 #include "runtime/stack.hpp"
 
@@ -53,8 +53,8 @@ inline constexpr runtime::LayerId kLayerCatchup = 7;
 
 class CatchupLayer final : public runtime::Layer {
  public:
-  CatchupLayer(RecoveryManager& manager, core::AbcastIndirect& abcast)
-      : manager_(manager), abcast_(abcast) {}
+  CatchupLayer(RecoveryManager& manager, core::OrderingCore& ordering)
+      : manager_(manager), ordering_(ordering) {}
 
   void bind(runtime::LayerContext ctx) { ctx_ = ctx; }
 
@@ -90,7 +90,7 @@ class CatchupLayer final : public runtime::Layer {
   void feed_batches(Reader& r, std::uint32_t count);
 
   RecoveryManager& manager_;
-  core::AbcastIndirect& abcast_;
+  core::OrderingCore& ordering_;
   runtime::LayerContext ctx_;
   bool begun_ = false;
   bool done_ = false;

@@ -47,7 +47,7 @@ abcast::StackConfig indirect_ct(const net::NetModel& model,
   c.algo = abcast::ConsensusAlgo::kCt;
   c.rb = rb;
   c.fd = abcast::FdKind::kHeartbeat;
-  c.indirect.rcv_check_cost_per_id = model.rcv_check_cost_per_id;
+  c.rcv_check_cost_per_id = model.rcv_check_cost_per_id;
   return c;
 }
 

@@ -464,6 +464,57 @@ TEST(BoundedState, DeliveredSetHoldsOneRunPerOrigin) {
   }
 }
 
+/// Per-process A-delivery times of one abroadcast on a 3-process
+/// `fast_test` cluster, whose model charges no CPU of its own: any
+/// simulated CPU on the path is the rcv check's.
+std::vector<TimePoint> single_delivery_times(abcast::StackConfig stack,
+                                             Duration rcv_cost) {
+  stack.rcv_check_cost_per_id = rcv_cost;
+  Cluster cluster(ClusterOptions{}
+                      .with_n(3)
+                      .with_seed(41)
+                      .with_model(net::NetModel::fast_test())
+                      .with_stack(stack));
+  cluster.node(1).abroadcast("m");
+  cluster.run_until_quiesced();
+  std::vector<TimePoint> at;
+  for (ProcessId p = 1; p <= 3; ++p) {
+    EXPECT_EQ(cluster.log(p).size(), 1u) << "p" << p;
+    at.push_back(cluster.log(p).empty() ? 0 : cluster.log(p)[0].at);
+  }
+  return at;
+}
+
+TEST(RcvCheckCost, DelaysIndirectCtAndMrDeliveries) {
+  // The modeled per-id cost of the rcv lookups is the paper's account of
+  // indirect consensus's overhead (§4.3, Figs. 3-4). Every process
+  // evaluates rcv before it acks (CT) or echoes (MR), and no decision
+  // forms without such replies, so every delivery moves by >= the cost.
+  SCOPED_TRACE(test::repro_hint(41));
+  constexpr Duration kCost = milliseconds(50);
+  for (const abcast::ConsensusAlgo algo :
+       {abcast::ConsensusAlgo::kCt, abcast::ConsensusAlgo::kMr}) {
+    abcast::StackConfig stack;
+    stack.algo = algo;
+    const std::vector<TimePoint> free = single_delivery_times(stack, 0);
+    const std::vector<TimePoint> charged =
+        single_delivery_times(stack, kCost);
+    for (std::size_t i = 0; i < free.size(); ++i) {
+      EXPECT_GE(charged[i], free[i] + kCost)
+          << abcast::describe(stack) << " p" << i + 1;
+    }
+  }
+}
+
+TEST(RcvCheckCost, PlainConsensusOnIdsIgnoresIt) {
+  SCOPED_TRACE(test::repro_hint(41));
+  abcast::StackConfig stack;
+  stack.variant = abcast::Variant::kIdsPlain;
+  stack.rb = abcast::RbKind::kUniform;
+  EXPECT_EQ(single_delivery_times(stack, milliseconds(50)),
+            single_delivery_times(stack, 0));
+}
+
 TEST(Cluster, CrossHostSameScenarioSatisfiesTotalOrder) {
   SCOPED_TRACE(test::repro_hint(42));
   constexpr int kRounds = 5;

@@ -66,7 +66,7 @@ TEST(LatencyRecorder, DetectsTotalOrderViolation) {
 
 TEST(Experiment, DeterministicForFixedSeed) {
   ExperimentConfig cfg;
-  cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+  cfg.cluster.stack.rcv_check_cost_per_id =
       cfg.cluster.model.rcv_check_cost_per_id;
   cfg.throughput_msgs_per_sec = 200;
   cfg.warmup = milliseconds(500);
@@ -86,7 +86,7 @@ TEST(Experiment, DeterministicForFixedSeed) {
 
 TEST(Experiment, HealthyRunDeliversEverything) {
   ExperimentConfig cfg;
-  cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+  cfg.cluster.stack.rcv_check_cost_per_id =
       cfg.cluster.model.rcv_check_cost_per_id;
   cfg.throughput_msgs_per_sec = 100;
   cfg.warmup = milliseconds(500);
@@ -107,7 +107,7 @@ TEST(Experiment, LatencyRisesWithThroughput) {
   auto run_at = [](double tput) {
     ExperimentConfig cfg;
     cfg.cluster.n = 5;
-    cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+    cfg.cluster.stack.rcv_check_cost_per_id =
         cfg.cluster.model.rcv_check_cost_per_id;
     cfg.throughput_msgs_per_sec = tput;
     cfg.warmup = seconds(1);
@@ -147,7 +147,7 @@ TEST(Experiment, SameScenarioRunsOnBothHosts) {
 TEST(Experiment, CrashDuringWarmupStillDelivers) {
   ExperimentConfig cfg;
   cfg.cluster.n = 5;
-  cfg.cluster.stack.indirect.rcv_check_cost_per_id =
+  cfg.cluster.stack.rcv_check_cost_per_id =
       cfg.cluster.model.rcv_check_cost_per_id;
   cfg.throughput_msgs_per_sec = 50;
   cfg.warmup = seconds(2);
