@@ -11,9 +11,12 @@
 //     f < n/2 (consensus/ct.hpp);
 //   * MrConsensus — Mostéfaoui-Raynal ♦S quorum algorithm, f < n/2,
 //     2 communication steps in good runs (consensus/mr.hpp).
-// Both expose the exact decision points the paper modifies to obtain
-// indirect consensus (`CtConfig`, `MrConfig`; the indirect settings of
-// those points are built in core/indirect.hpp).
+// Both run on one round engine (consensus/round_engine.hpp), which owns
+// everything around the rounds: the instance table, the coordinator
+// rotation, decision dissemination and the restart-amnesia floor. Each
+// keeps only its phases, and exposes the exact decision points the paper
+// modifies to obtain indirect consensus (`CtConfig`, `MrConfig`; the
+// indirect settings of those points are built in core/indirect.hpp).
 #pragma once
 
 #include <cstdint>

@@ -12,70 +12,23 @@ enum MsgType : std::uint8_t {
   kProposal = 2,  // phase 2: (r, estimate_c) -> all
   kAck = 3,       // phase 3: (r) -> coordinator
   kNack = 4,      // phase 3: (r) -> coordinator
-  kDecide = 5,    // (value), relayed on first receipt
-  kAbstain = 6,   // (floor): sender votes in no instance k <= floor
+  kDecide = 5,    // the round engine's DECIDE
+  kAbstain = 6,   // the round engine's abstain announcement
   kAbort = 7,     // phase 4: (r) -> others, round r got a nack
 };
 }  // namespace
 
+using ct::RoundData;
+using ct::Wait;
+
 CtConsensus::CtConsensus(runtime::Stack& stack, runtime::LayerId layer_id,
                          fd::FailureDetector& detector, CtConfig config)
-    : ctx_(stack.register_layer(layer_id, *this, "ct")),
-      detector_(detector),
-      config_(std::move(config)),
-      abstain_floor_(ctx_.n() + 1, 0) {
-  detector_.subscribe([this](ProcessId p, bool suspected) {
-    if (suspected) on_suspicion(p);
-  });
-}
+    : RoundEngine(stack, layer_id, "ct", detector, {kDecide, kAbstain}),
+      config_(std::move(config)) {}
 
-void CtConsensus::on_start() {
-  // A restarted incarnation announces its abstention floor up front:
-  // peers already running rounds of a barred instance may be waiting on
-  // *us* as that round's coordinator, with nothing in flight that would
-  // trigger the reactive reply below.
-  if (floor_ == 0) return;
-  const std::uint32_t n = ctx_.n();
-  for (ProcessId p = 1; p <= n; ++p) {
-    if (p != ctx_.self()) send_abstain(p);
-  }
-}
-
-void CtConsensus::send_abstain(ProcessId dst) {
-  Writer w(12);
-  w.u8(kAbstain);
-  w.u64(floor_);
-  ctx_.send(dst, w.take());
-}
-
-bool CtConsensus::has_decided(InstanceId k) const {
-  const auto it = instances_.find(k);
-  return it != instances_.end() && it->second.decided;
-}
-
-std::uint32_t CtConsensus::round_of(InstanceId k) const {
-  const auto it = instances_.find(k);
-  return it == instances_.end() ? 0 : it->second.round;
-}
-
-void CtConsensus::propose(InstanceId k, Bytes value) {
-  Instance& inst = instance(k);
-  IBC_REQUIRE_MSG(!inst.proposed, "duplicate propose in instance");
-  inst.proposed = true;
-  if (inst.decided) return;  // decision arrived before we proposed
-  inst.estimate = std::move(value);
-  inst.ts = 0;
-  enter_round(k, inst, 1);
-}
-
-void CtConsensus::enter_round(InstanceId k, Instance& inst,
-                              std::uint32_t r) {
-  IBC_ASSERT(!inst.decided && inst.proposed);
-  inst.round = r;
-  ++stats_.rounds_started;
+void CtConsensus::enter_round(InstanceId k, Instance& inst) {
+  const std::uint32_t r = inst.round;
   const ProcessId coord = coord_of(r);
-  ctx_.log().logf(LogLevel::kTrace, "k=%llu round %u coord p%u",
-                  static_cast<unsigned long long>(k), r, coord);
 
   if (r > 1) {
     // Phase 1: send (estimate, ts) to the coordinator (loopback if self).
@@ -157,8 +110,7 @@ void CtConsensus::try_phase3(InstanceId k, Instance& inst) {
       ++stats_.proposals_refused;
     }
     phase3_reply(k, inst, accept);
-  } else if (detector_.is_suspected(coord_of(inst.round)) ||
-             abstains(coord_of(inst.round), k)) {
+  } else if (coordinator_gone(k, inst)) {
     // An announced abstention is handled like a suspicion: the
     // coordinator is alive but will never propose in this instance.
     phase3_reply(k, inst, false);
@@ -192,28 +144,15 @@ void CtConsensus::phase3_reply(InstanceId k, Instance& inst, bool ack) {
 
 void CtConsensus::try_leave_acked_round(InstanceId k, Instance& inst) {
   if (inst.wait != Wait::kDecision) return;
-  const ProcessId coord = coord_of(inst.round);
   // A restarted coordinator announces abstention from every instance
-  // its previous incarnation opened, so `abstains` covers restarts too.
-  if (inst.rounds[inst.round].aborted || detector_.is_suspected(coord) ||
-      abstains(coord, k)) {
+  // its previous incarnation opened, so `coordinator_gone` covers
+  // restarts too.
+  if (inst.rounds[inst.round].aborted || coordinator_gone(k, inst)) {
     next_round(k, inst);
   }
 }
 
-void CtConsensus::next_round(InstanceId k, Instance& inst) {
-  // The advance is deferred to keep recursion depth constant when
-  // several coordinators are suspected back-to-back.
-  const std::uint32_t r = inst.round;
-  inst.wait = Wait::kNone;
-  ctx_.defer([this, k, r] {
-    Instance& i = instance(k);
-    if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
-      enter_round(k, i, r + 1);
-  });
-}
-
-void CtConsensus::recheck_coordinator_wait(InstanceId k, Instance& inst) {
+void CtConsensus::on_coordinator_gone(InstanceId k, Instance& inst) {
   if (inst.wait == Wait::kProposal)
     try_phase3(k, inst);
   else if (inst.wait == Wait::kDecision)
@@ -226,9 +165,7 @@ void CtConsensus::coordinator_try_phase4(InstanceId k, Instance& inst) {
   RoundData& rd = inst.rounds[r];
   if (rd.acks.size() >= majority(ctx_.n())) {
     IBC_ASSERT(rd.estimate_c.has_value());
-    const Bytes value = *rd.estimate_c;  // copy: decide clears rounds
-    send_decide(k, value, ctx_.self());
-    decide_instance(k, inst, value, ctx_.self());
+    decide(k, inst, *rd.estimate_c, ctx_.self());
   } else if (rd.nacked) {
     // Release the ackers waiting in kDecision: this round never decides.
     Writer w(16);
@@ -240,91 +177,8 @@ void CtConsensus::coordinator_try_phase4(InstanceId k, Instance& inst) {
   }
 }
 
-void CtConsensus::send_decide(InstanceId k, BytesView value,
-                              ProcessId skip) {
-  Writer w(value.size() + 16);
-  w.u8(kDecide);
-  w.u64(k);
-  w.blob(value);
-  const Bytes wire = w.take();
-  const std::uint32_t n = ctx_.n();
-  for (ProcessId p = 1; p <= n; ++p)
-    if (p != ctx_.self() && p != skip) ctx_.send(p, wire);
-}
-
-void CtConsensus::decide_instance(InstanceId k, Instance& inst,
-                                  BytesView value, ProcessId) {
-  if (inst.decided) return;
-  inst.decided = true;
-  inst.decision = to_bytes(value);
-  Bytes().swap(inst.estimate);  // only `decision` is read from here on
-  inst.wait = Wait::kNone;
-  inst.rounds.clear();
-  ctx_.log().logf(LogLevel::kDebug, "k=%llu decided (%zu bytes)",
-                  static_cast<unsigned long long>(k), inst.decision.size());
-  fire_decide(k, inst.decision);
-}
-
-void CtConsensus::on_suspicion(ProcessId p) {
-  // Wake every instance blocked on this coordinator.
-  for (auto& [k, inst] : instances_) {
-    if (coord_of(inst.round) == p) recheck_coordinator_wait(k, inst);
-  }
-}
-
-void CtConsensus::on_message(ProcessId from, Reader& r) {
-  const auto type = static_cast<MsgType>(r.u8());
-  const InstanceId k = r.u64();
-
-  if (type == kAbstain) {
-    // Here the u64 is the sender's participation floor, not an instance
-    // id: `from` votes in no instance <= k. Record it and wake every
-    // instance blocked on `from` as coordinator.
-    if (k > abstain_floor_[from]) {
-      abstain_floor_[from] = k;
-      for (auto& [ki, blocked] : instances_) {
-        if (ki <= k && coord_of(blocked.round) == from)
-          recheck_coordinator_wait(ki, blocked);
-      }
-    }
-    return;
-  }
-
-  Instance& inst = instance(k);
-
-  if (type == kDecide) {
-    const BytesView value = r.blob_view();
-    if (!inst.decided) {
-      // Relay on first receipt (reliable broadcast of the decision), then
-      // decide locally.
-      ++stats_.decides_relayed;
-      send_decide(k, value, from);
-      decide_instance(k, inst, value, from);
-    }
-    return;
-  }
-
-  if (inst.decided) {
-    // Catch-up: whoever still runs rounds for a decided instance gets the
-    // decision directly.
-    if (from != ctx_.self()) {
-      Writer w(inst.decision.size() + 16);
-      w.u8(kDecide);
-      w.u64(k);
-      w.blob(inst.decision);
-      ctx_.send(from, w.take());
-    }
-    return;
-  }
-
-  if (!inst.proposed && k <= floor_) {
-    // Restart-amnesia floor (D6): this incarnation never proposes — and
-    // so never acts — in this instance. Answer round traffic with an
-    // abstain so the sender stops waiting on us (e.g. as coordinator).
-    if (from != ctx_.self()) send_abstain(from);
-    return;
-  }
-
+void CtConsensus::on_round_message(ProcessId from, std::uint8_t type,
+                                   InstanceId k, Instance& inst, Reader& r) {
   switch (type) {
     case kEst: {
       const std::uint32_t round = r.u32();
@@ -367,9 +221,8 @@ void CtConsensus::on_message(ProcessId from, Reader& r) {
         try_leave_acked_round(k, inst);
       break;
     }
-    case kDecide:
-    case kAbstain:
-      IBC_UNREACHABLE("handled above");
+    default:
+      break;  // kDecide and kAbstain are the engine's; others are ignored
   }
 }
 

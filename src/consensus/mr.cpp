@@ -8,76 +8,29 @@ namespace ibc::consensus {
 
 namespace {
 enum MsgType : std::uint8_t {
-  kCoord = 1,   // phase 1: (r, estimate) coordinator -> all
-  kEcho = 2,    // phase 1->2: (r, ⊥ | value) -> all
-  kDecide = 3,  // (value), relayed on first receipt
-  kAbstain = 4,  // (floor): sender votes in no instance k <= floor
+  kCoord = 1,    // phase 1: (r, estimate) coordinator -> all
+  kEcho = 2,     // phase 1->2: (r, ⊥ | value) -> all
+  kDecide = 3,   // the round engine's DECIDE
+  kAbstain = 4,  // the round engine's abstain announcement
 };
 }  // namespace
 
+using mr::Echo;
+using mr::RoundData;
+using mr::Wait;
+
 MrConsensus::MrConsensus(runtime::Stack& stack, runtime::LayerId layer_id,
                          fd::FailureDetector& detector, MrConfig config)
-    : ctx_(stack.register_layer(layer_id, *this, "mr")),
-      detector_(detector),
-      config_(std::move(config)),
-      abstain_floor_(ctx_.n() + 1, 0) {
-  detector_.subscribe([this](ProcessId p, bool suspected) {
-    if (suspected) on_suspicion(p);
-  });
-}
-
-void MrConsensus::on_start() {
-  // A restarted incarnation announces its abstention floor up front:
-  // peers already running rounds of a barred instance may be waiting on
-  // *us* as that round's coordinator, with nothing in flight that would
-  // trigger the reactive reply in on_message.
-  if (floor_ == 0) return;
-  const std::uint32_t n = ctx_.n();
-  for (ProcessId p = 1; p <= n; ++p) {
-    if (p != ctx_.self()) send_abstain(p);
-  }
-}
-
-void MrConsensus::send_abstain(ProcessId dst) {
-  Writer w(12);
-  w.u8(kAbstain);
-  w.u64(floor_);
-  ctx_.send(dst, w.take());
-}
+    : RoundEngine(stack, layer_id, "mr", detector, {kDecide, kAbstain}),
+      config_(std::move(config)) {}
 
 std::uint32_t MrConsensus::quorum() const {
   return config_.quorum ? config_.quorum(ctx_.n()) : majority(ctx_.n());
 }
 
-bool MrConsensus::has_decided(InstanceId k) const {
-  const auto it = instances_.find(k);
-  return it != instances_.end() && it->second.decided;
-}
-
-std::uint32_t MrConsensus::round_of(InstanceId k) const {
-  const auto it = instances_.find(k);
-  return it == instances_.end() ? 0 : it->second.round;
-}
-
-void MrConsensus::propose(InstanceId k, Bytes value) {
-  Instance& inst = instance(k);
-  IBC_REQUIRE_MSG(!inst.proposed, "duplicate propose in instance");
-  inst.proposed = true;
-  if (inst.decided) return;  // decision arrived before we proposed
-  inst.estimate = std::move(value);
-  enter_round(k, inst, 1);
-}
-
-void MrConsensus::enter_round(InstanceId k, Instance& inst,
-                              std::uint32_t r) {
-  IBC_ASSERT(!inst.decided && inst.proposed);
-  inst.round = r;
-  ++stats_.rounds_started;
-  const ProcessId coord = coord_of(r);
-  ctx_.log().logf(LogLevel::kTrace, "k=%llu round %u coord p%u",
-                  static_cast<unsigned long long>(k), r, coord);
-
-  if (coord == ctx_.self()) {
+void MrConsensus::enter_round(InstanceId k, Instance& inst) {
+  const std::uint32_t r = inst.round;
+  if (coord_of(r) == ctx_.self()) {
     // Phase 1, coordinator side: est_from_c is our own estimate
     // (Algorithm 3 line 11) — no acceptance test on one's own value.
     Writer w(inst.estimate.size() + 16);
@@ -108,8 +61,7 @@ void MrConsensus::try_phase1(InstanceId k, Instance& inst) {
       ++stats_.proposals_refused;
       send_echo(k, inst, std::nullopt);
     }
-  } else if (detector_.is_suspected(coord_of(inst.round)) ||
-             abstains(coord_of(inst.round), k)) {
+  } else if (coordinator_gone(k, inst)) {
     // An announced abstention is handled like a suspicion: the
     // coordinator is alive but will never send its value here.
     send_echo(k, inst, std::nullopt);
@@ -155,13 +107,9 @@ void MrConsensus::try_phase2(InstanceId k, Instance& inst) {
     ++valid_count;
   }
 
-  const std::uint32_t r = inst.round;
   if (valid != nullptr && valid_count == q) {
     // rec_p = {v}: decide (Algorithm 3 lines 24-26).
-    inst.estimate = *valid;
-    const Bytes value = inst.estimate;
-    send_decide(k, value, ctx_.self());
-    decide_instance(k, inst, value);
+    decide(k, inst, *valid, ctx_.self());
     return;
   }
   if (valid != nullptr) {
@@ -171,104 +119,11 @@ void MrConsensus::try_phase2(InstanceId k, Instance& inst) {
       inst.estimate = *valid;
     }
   }
-  schedule_next_round(k, r);
+  next_round(k, inst);
 }
 
-void MrConsensus::schedule_next_round(InstanceId k, std::uint32_t r) {
-  Instance& inst = instance(k);
-  inst.wait = Wait::kNone;
-  ctx_.defer([this, k, r] {
-    Instance& i = instance(k);
-    if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
-      enter_round(k, i, r + 1);
-  });
-}
-
-void MrConsensus::send_decide(InstanceId k, BytesView value,
-                              ProcessId skip) {
-  Writer w(value.size() + 16);
-  w.u8(kDecide);
-  w.u64(k);
-  w.blob(value);
-  const Bytes wire = w.take();
-  const std::uint32_t n = ctx_.n();
-  for (ProcessId p = 1; p <= n; ++p)
-    if (p != ctx_.self() && p != skip) ctx_.send(p, wire);
-}
-
-void MrConsensus::decide_instance(InstanceId k, Instance& inst,
-                                  BytesView value) {
-  if (inst.decided) return;
-  inst.decided = true;
-  inst.decision = to_bytes(value);
-  inst.wait = Wait::kNone;
-  inst.rounds.clear();
-  ctx_.log().logf(LogLevel::kDebug, "k=%llu decided (%zu bytes)",
-                  static_cast<unsigned long long>(k), inst.decision.size());
-  fire_decide(k, inst.decision);
-}
-
-void MrConsensus::on_suspicion(ProcessId p) {
-  for (auto& [k, inst] : instances_) {
-    if (inst.proposed && !inst.decided && inst.wait == Wait::kCoord &&
-        coord_of(inst.round) == p) {
-      try_phase1(k, inst);
-    }
-  }
-}
-
-void MrConsensus::on_message(ProcessId from, Reader& r) {
-  const auto type = static_cast<MsgType>(r.u8());
-  const InstanceId k = r.u64();
-
-  if (type == kAbstain) {
-    // Here the u64 is the sender's participation floor, not an instance
-    // id: `from` votes in no instance <= k. Record it and wake every
-    // instance blocked in Phase 1 on `from` as coordinator.
-    if (k > abstain_floor_[from]) {
-      abstain_floor_[from] = k;
-      for (auto& [ki, blocked] : instances_) {
-        if (ki <= k && blocked.proposed && !blocked.decided &&
-            blocked.wait == Wait::kCoord &&
-            coord_of(blocked.round) == from) {
-          try_phase1(ki, blocked);
-        }
-      }
-    }
-    return;
-  }
-
-  Instance& inst = instance(k);
-
-  if (type == kDecide) {
-    const BytesView value = r.blob_view();
-    if (!inst.decided) {
-      ++stats_.decides_relayed;
-      send_decide(k, value, from);
-      decide_instance(k, inst, value);
-    }
-    return;
-  }
-
-  if (inst.decided) {
-    if (from != ctx_.self()) {
-      Writer w(inst.decision.size() + 16);
-      w.u8(kDecide);
-      w.u64(k);
-      w.blob(inst.decision);
-      ctx_.send(from, w.take());
-    }
-    return;
-  }
-
-  if (!inst.proposed && k <= floor_) {
-    // Restart-amnesia floor (D6): this incarnation never proposes — and
-    // so never acts — in this instance. Answer round traffic with an
-    // abstain so the sender stops waiting on us (e.g. as coordinator).
-    if (from != ctx_.self()) send_abstain(from);
-    return;
-  }
-
+void MrConsensus::on_round_message(ProcessId from, std::uint8_t type,
+                                   InstanceId k, Instance& inst, Reader& r) {
   switch (type) {
     case kCoord: {
       const std::uint32_t round = r.u32();
@@ -290,9 +145,8 @@ void MrConsensus::on_message(ProcessId from, Reader& r) {
       if (inst.proposed && round == inst.round) try_phase2(k, inst);
       break;
     }
-    case kDecide:
-    case kAbstain:
-      IBC_UNREACHABLE("handled above");
+    default:
+      break;  // kDecide and kAbstain are the engine's; others are ignored
   }
 }
 

@@ -12,10 +12,14 @@
 //            DECIDE); if the set is {v, ⊥} it may adopt v; then it
 //            proceeds to the next round.
 //
-// Good runs decide within two communication steps. The original algorithm
-// uses a majority quorum, tolerates f < n/2 and adopts v on any single
-// valid copy. Three decision points change for the indirect adaptation
-// (Algorithm 3) and are exposed in MrConfig:
+// Good runs decide within two communication steps. The instance table,
+// the coordinator rotation, DECIDE dissemination and the restart-amnesia
+// floor are the shared round engine's (round_engine.hpp); this file
+// holds the two phases.
+//
+// The original algorithm uses a majority quorum, tolerates f < n/2 and
+// adopts v on any single valid copy. Three decision points change for
+// the indirect adaptation (Algorithm 3) and are exposed in MrConfig:
 //   * accept_phase1 — whether a non-coordinator turns the coordinator's
 //     value into its echo, or echoes ⊥ (lines 16-19; indirect: rcv);
 //   * quorum — the phase-2 wait threshold (line 22; indirect:
@@ -29,15 +33,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "consensus/consensus.hpp"
-#include "fd/failure_detector.hpp"
-#include "runtime/stack.hpp"
+#include "consensus/round_engine.hpp"
 
 namespace ibc::consensus {
 
@@ -56,88 +57,51 @@ struct MrConfig {
   std::function<std::uint32_t(std::uint32_t)> quorum;
 };
 
-class MrConsensus final : public runtime::Layer, public Consensus {
+namespace mr {
+
+/// An echo: the value relayed from the coordinator, or ⊥ (nullopt).
+using Echo = std::optional<Bytes>;
+
+struct RoundData {
+  std::optional<Bytes> coord_value;  // phase-1 value from coordinator
+  // Echoes in arrival order (phase 2 acts on the first `quorum()` of
+  // them, exactly like the pseudocode's "wait until received from ⌈q⌉
+  // processes").
+  std::vector<std::pair<ProcessId, Echo>> echo_order;
+  std::unordered_set<ProcessId> echo_from;  // dedup
+  bool acted = false;                       // phase-2 step done
+};
+
+enum class Wait : std::uint8_t {
+  kNone,    // not participating
+  kCoord,   // phase 1: waiting for the coordinator's value
+  kEchoes,  // phase 2: waiting for the echo quorum
+};
+
+}  // namespace mr
+
+class MrConsensus final : public RoundEngine<mr::RoundData, mr::Wait> {
  public:
   MrConsensus(runtime::Stack& stack, runtime::LayerId layer_id,
               fd::FailureDetector& detector, MrConfig config = {});
-
-  void propose(InstanceId k, Bytes value) override;
-  bool has_decided(InstanceId k) const override;
-
-  /// Restart-amnesia floor (docs/PROTOCOL.md D6): this incarnation must
-  /// not vote in any instance k <= floor. Abstention is announced (at
-  /// start, and in reply to round traffic for barred instances) so that
-  /// peers waiting on us as a round's coordinator treat us like a
-  /// suspected process instead of waiting forever — we are alive, so ♦S
-  /// alone would never unblock them.
-  void set_participation_floor(InstanceId floor) override {
-    floor_ = floor;
-  }
-
-  void on_start() override;
-  void on_message(ProcessId from, Reader& r) override;
-
-  std::uint32_t round_of(InstanceId k) const;
 
   /// The effective phase-2 quorum for this configuration.
   std::uint32_t quorum() const;
 
  private:
-  /// An echo: the value relayed from the coordinator, or ⊥ (nullopt).
-  using Echo = std::optional<Bytes>;
-
-  struct RoundData {
-    std::optional<Bytes> coord_value;  // phase-1 value from coordinator
-    // Echoes in arrival order (phase 2 acts on the first `quorum()` of
-    // them, exactly like the pseudocode's "wait until received from ⌈q⌉
-    // processes").
-    std::vector<std::pair<ProcessId, Echo>> echo_order;
-    std::unordered_set<ProcessId> echo_from;  // dedup
-    bool acted = false;                       // phase-2 step done
-  };
-
-  enum class Wait : std::uint8_t {
-    kNone,    // not participating
-    kCoord,   // phase 1: waiting for the coordinator's value
-    kEchoes,  // phase 2: waiting for the echo quorum
-  };
-
-  struct Instance {
-    bool proposed = false;
-    bool decided = false;
-    Bytes decision;
-    Bytes estimate;
-    std::uint32_t round = 0;
-    Wait wait = Wait::kNone;
-    std::map<std::uint32_t, RoundData> rounds;
-  };
-
-  ProcessId coord_of(std::uint32_t round) const {
-    return (round % ctx_.n()) + 1;
+  void enter_round(InstanceId k, Instance& inst) override;
+  /// Phase 1 (the only phase that waits on the coordinator).
+  void on_coordinator_gone(InstanceId k, Instance& inst) override {
+    try_phase1(k, inst);
   }
-  Instance& instance(InstanceId k) { return instances_[k]; }
+  void on_round_message(ProcessId from, std::uint8_t type, InstanceId k,
+                        Instance& inst, Reader& r) override;
 
-  void enter_round(InstanceId k, Instance& inst, std::uint32_t r);
   void try_phase1(InstanceId k, Instance& inst);
-  void send_echo(InstanceId k, Instance& inst, const Echo& echo);
+  void send_echo(InstanceId k, Instance& inst, const mr::Echo& echo);
   void try_phase2(InstanceId k, Instance& inst);
-  void decide_instance(InstanceId k, Instance& inst, BytesView value);
-  void send_decide(InstanceId k, BytesView value, ProcessId skip);
-  void schedule_next_round(InstanceId k, std::uint32_t r);
-  void on_suspicion(ProcessId p);
 
-  void send_abstain(ProcessId dst);
-  /// True iff `q` announced it abstains from instance `k`.
-  bool abstains(ProcessId q, InstanceId k) const {
-    return k <= abstain_floor_[q];
-  }
-
-  runtime::LayerContext ctx_;
-  fd::FailureDetector& detector_;
   MrConfig config_;
-  std::unordered_map<InstanceId, Instance> instances_;
-  InstanceId floor_ = 0;  // own abstention floor (restart recovery)
-  std::vector<InstanceId> abstain_floor_;  // [1..n] peers' announced floors
 };
 
 }  // namespace ibc::consensus

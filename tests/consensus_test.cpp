@@ -26,10 +26,13 @@ struct Fixture {
                    MrConfig mr_cfg = {})
       : Fixture(algo, n, [ct_cfg](ProcessId) { return ct_cfg; }, mr_cfg) {}
 
-  /// `ct_cfg_of(p)` is process p's CT configuration.
+  /// `ct_cfg_of(p)` is process p's CT configuration. `floors[p]`, if
+  /// present, is process p's participation floor (docs/PROTOCOL.md D6),
+  /// set before the stacks start.
   Fixture(Algo algo, std::uint32_t n,
           const std::function<CtConfig(ProcessId)>& ct_cfg_of,
-          MrConfig mr_cfg = {})
+          MrConfig mr_cfg = {},
+          const std::map<ProcessId, InstanceId>& floors = {})
       : cluster(n, net::NetModel::fast_test(), 41), decisions(n + 1) {
     for (ProcessId p = 1; p <= n; ++p) {
       stacks.push_back(std::make_unique<runtime::Stack>(cluster.env(p)));
@@ -47,6 +50,8 @@ struct Fixture {
           [this, p](InstanceId k, BytesView value) {
             decisions[p][k] = to_bytes(value);
           });
+      if (const auto it = floors.find(p); it != floors.end())
+        engines.back()->set_participation_floor(it->second);
     }
     for (auto& s : stacks) s->start();
   }
@@ -150,6 +155,38 @@ TEST_P(BothAlgos, NonProposerLearnsDecisionAndLateProposeIsNoop) {
   EXPECT_TRUE(bytes_equal(*d, bytes_of("early")));
   EXPECT_TRUE(f.agreed(1).has_value());
 }
+
+class ParticipationFloor : public ::testing::TestWithParam<Algo> {};
+
+TEST_P(ParticipationFloor, AbstainingRoundOneCoordinatorIsSkippedOnlyBelowIt) {
+  // p2, the round-1 coordinator, starts as a restarted incarnation with
+  // floor 1: it must not vote in instance 1 and announces so at start.
+  // p1 and p3 treat the announcement like a suspicion of p2 for
+  // instance 1 and decide it without p2, which learns the decision from
+  // the DECIDE flood. Instance 2 lies above the floor: p2 coordinates
+  // it normally, so its proposal wins a failure-free round 1. Without
+  // the announcement (or with peers that do not record it), p1 and p3
+  // wait on the alive p2 in instance 1 forever.
+  Fixture f(GetParam(), 3, [](ProcessId) { return CtConfig{}; }, MrConfig{},
+            {{2, 1}});
+  f.engine(1).propose(1, bytes_of("k1p1"));
+  f.engine(3).propose(1, bytes_of("k1p3"));
+  for (ProcessId p = 1; p <= 3; ++p)
+    f.engine(p).propose(2, bytes_of("k2p" + std::to_string(p)));
+  f.cluster.run_for(seconds(2));
+
+  const auto first = f.agreed(1);
+  ASSERT_TRUE(first.has_value()) << "instance 1 wedged on p2";
+  EXPECT_TRUE(bytes_equal(*first, bytes_of("k1p1")) ||
+              bytes_equal(*first, bytes_of("k1p3")));
+  const auto second = f.agreed(2);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(bytes_equal(*second, bytes_of("k2p2")))
+      << "p2 did not coordinate instance 2";
+}
+
+INSTANTIATE_TEST_SUITE_P(Algos, ParticipationFloor,
+                         ::testing::Values(Algo::kCt, Algo::kMr));
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BothAlgos,

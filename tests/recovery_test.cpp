@@ -505,6 +505,64 @@ TEST(Recovery, RestartedCoordinatorReleasesItsAckersOnBothHosts) {
   }
 }
 
+TEST(Recovery, RestartedMrCoordinatorReleasesItsWaitersOnBothHosts) {
+  // The same restart on the indirect MR stack (n=4: Algorithm 3 needs
+  // f < n/3). Every send of p2, the round-1 coordinator, takes 30 ms
+  // longer, so its phase-1 values of the instances it opened last are
+  // still in transit when it crashes. The TCP host loses them with the
+  // dead incarnation's sockets; the simulator would still deliver what
+  // had left the NIC, so there a drop window over p2's last 30 ms of
+  // sends loses them the same way. p1, p3 and p4 then wait on p2 in
+  // phase 1; p2 restarts 50 ms later, inside the 200 ms FD timeout, so
+  // no suspicion releases them. Only the new incarnation's abstain
+  // announcement (p2's floor covers every instance it opened) does.
+  constexpr TimePoint kCrash = milliseconds(100);
+  for (const runtime::HostKind host :
+       {runtime::HostKind::kSim, runtime::HostKind::kTcp}) {
+    SCOPED_TRACE(host == runtime::HostKind::kSim ? "sim" : "tcp");
+    SCOPED_TRACE(test::repro_hint(17));
+    abcast::StackConfig stack = recovery_stack();
+    stack.algo = abcast::ConsensusAlgo::kMr;
+    ClusterOptions options = ClusterOptions{}
+                                 .with_n(4)
+                                 .with_seed(17)
+                                 .with_host(host)
+                                 .with_stack(stack)
+                                 .with_recovery();
+    net::FaultEvent slow_sends;
+    slow_sends.kind = net::FaultKind::kDelay;
+    slow_sends.until = seconds(60);
+    slow_sends.src = 2;
+    slow_sends.extra = milliseconds(30);
+    options.with_fault(slow_sends);
+    if (host == runtime::HostKind::kSim) {
+      net::FaultEvent lost_with_p2;
+      lost_with_p2.kind = net::FaultKind::kDrop;
+      lost_with_p2.from = kCrash - milliseconds(30);
+      lost_with_p2.until = kCrash;
+      lost_with_p2.src = 2;
+      options.with_fault(lost_with_p2);
+    }
+    Cluster cluster(options);
+    drive_load(cluster, /*rounds=*/10, milliseconds(10));
+    if (host == runtime::HostKind::kSim) {
+      ASSERT_EQ(cluster.now(), kCrash);
+    }
+    cluster.crash(2);
+    cluster.run_for(milliseconds(50));
+    cluster.restart(2);
+    drive_load(cluster, /*rounds=*/10, milliseconds(10));
+    cluster.run_until_quiesced(milliseconds(500), seconds(30));
+
+    expect_full_recovery(cluster, 2);
+    const std::vector<MessageId> reference = ids_of(cluster.log(1));
+    for (const ProcessId p : {3u, 4u})
+      EXPECT_EQ(ids_of(cluster.log(p)), reference) << "p" << p;
+    // 80 broadcasts in all; a wedge at the restart stops near 40.
+    EXPECT_GE(reference.size(), 70u) << "ordering stopped at the restart";
+  }
+}
+
 TEST(Recovery, TcpRestartRejoinsExactlyOnce) {
   SCOPED_TRACE(test::repro_hint(21));
   Cluster cluster(ClusterOptions{}
