@@ -132,6 +132,10 @@ ProcessStack::ProcessStack(runtime::Host& host, ProcessId p,
   // incarnation; this one abstains from them (D6) — and must say so, or
   // peers wait forever on it as those rounds' coordinator.
   consensus_->set_participation_floor(rec.core.opened_k);
+  // The restored prefix, and later every decision catch-up applies,
+  // counts towards the decided prefix the engine reports (D9): the
+  // engine never decides those instances itself.
+  consensus_->note_applied(rec.core.applied_k);
   ids->restore_seq(rec.reserved_seq);
   // Each broadcast frame consumes at least one reserved abcast seq and
   // reservations are synced before use, so reserved_seq bounds every
@@ -143,8 +147,10 @@ ProcessStack::ProcessStack(runtime::Host& host, ProcessId p,
   catchup_ = std::make_unique<recovery::CatchupLayer>(*recovery_, *ordering_);
   catchup_->bind(
       stack_.register_layer(recovery::kLayerCatchup, *catchup_, "catchup"));
-  recovery_->set_apply_listener(
-      [c = catchup_.get()] { c->notify_decision_applied(); });
+  recovery_->set_apply_listener([this] {
+    catchup_->notify_decision_applied();
+    consensus_->note_applied(ordering_->instances_completed());
+  });
 }
 
 void ProcessStack::begin_catchup() {

@@ -133,6 +133,8 @@ class ProcessStack {
   const consensus::Consensus::Stats& consensus_stats() const {
     return consensus_->stats();
   }
+  /// The consensus engine (tests downcast it to read its table).
+  const consensus::Consensus& consensus() const { return *consensus_; }
 
   /// Recovery wiring (null unless built with a durable store).
   recovery::RecoveryManager* recovery_manager() { return recovery_.get(); }

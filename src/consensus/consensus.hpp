@@ -12,11 +12,12 @@
 //   * MrConsensus — Mostéfaoui-Raynal ♦S quorum algorithm, f < n/2,
 //     2 communication steps in good runs (consensus/mr.hpp).
 // Both run on one round engine (consensus/round_engine.hpp), which owns
-// everything around the rounds: the instance table, the coordinator
-// rotation, decision dissemination and the restart-amnesia floor. Each
-// keeps only its phases, and exposes the exact decision points the paper
-// modifies to obtain indirect consensus (`CtConfig`, `MrConfig`; the
-// indirect settings of those points are built in core/indirect.hpp).
+// everything around the rounds: the instance table and its truncation,
+// the coordinator rotation, decision dissemination and the
+// restart-amnesia floor. Each keeps only its phases, and exposes the
+// exact decision points the paper modifies to obtain indirect consensus
+// (`CtConfig`, `MrConfig`; the indirect settings of those points are
+// built in core/indirect.hpp).
 #pragma once
 
 #include <cstdint>
@@ -53,10 +54,16 @@ class Consensus {
 
   /// Proposes `value` in instance `k`. Each process proposes at most once
   /// per instance. Proposing in an instance whose decision already
-  /// arrived is a harmless no-op (the decide callback has fired).
+  /// arrived is a harmless no-op (the decide callback has fired), and so
+  /// is proposing in one that every process has decided or applied
+  /// (erased, docs/PROTOCOL.md D9).
   virtual void propose(InstanceId k, Bytes value) = 0;
 
-  virtual bool has_decided(InstanceId k) const = 0;
+  /// Every instance <= k is applied here without this engine's help
+  /// (restored from the log, or fetched by catch-up). It counts towards
+  /// the decided prefix the engine reports, so peers can erase those
+  /// instances (docs/PROTOCOL.md D9).
+  virtual void note_applied(InstanceId k) = 0;
 
   /// Restart-amnesia floor (docs/PROTOCOL.md D6): this incarnation must
   /// not vote in any instance k <= floor, and announces its abstention
@@ -65,9 +72,10 @@ class Consensus {
   /// suspicion).
   virtual void set_participation_floor(InstanceId floor) = 0;
 
-  /// Registers a decision handler; fired exactly once per instance, in
-  /// the instance's decision order at this process (instances may decide
-  /// out of numeric order).
+  /// Registers a decision handler; fired exactly once per instance this
+  /// engine decides, in the instance's decision order at this process
+  /// (instances may decide out of numeric order). An instance passed to
+  /// `note_applied` may never fire: its decision is applied already.
   void subscribe_decide(DecideFn fn) {
     subscribers_.push_back(std::move(fn));
   }

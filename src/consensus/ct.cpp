@@ -32,9 +32,7 @@ void CtConsensus::enter_round(InstanceId k, Instance& inst) {
 
   if (r > 1) {
     // Phase 1: send (estimate, ts) to the coordinator (loopback if self).
-    Writer w(inst.estimate.size() + 24);
-    w.u8(kEst);
-    w.u64(k);
+    Writer w = message(kEst, k, inst.estimate.size() + 12);
     w.u32(r);
     w.u32(inst.ts);
     w.blob(inst.estimate);
@@ -46,9 +44,7 @@ void CtConsensus::enter_round(InstanceId k, Instance& inst) {
       // Phase 2, first round: propose own estimate without gathering.
       RoundData& rd = inst.rounds[r];
       rd.estimate_c = inst.estimate;
-      Writer w(inst.estimate.size() + 16);
-      w.u8(kProposal);
-      w.u64(k);
+      Writer w = message(kProposal, k, inst.estimate.size() + 8);
       w.u32(r);
       w.blob(inst.estimate);
       ctx_.send_to_all(w.take());
@@ -84,9 +80,7 @@ void CtConsensus::coordinator_try_phase2(InstanceId k, Instance& inst) {
   IBC_ASSERT(best != nullptr);
   rd.estimate_c = best->second.first;
 
-  Writer w(rd.estimate_c->size() + 16);
-  w.u8(kProposal);
-  w.u64(k);
+  Writer w = message(kProposal, k, rd.estimate_c->size() + 8);
   w.u32(inst.round);
   w.blob(*rd.estimate_c);
   ctx_.send_to_all(w.take());
@@ -121,9 +115,7 @@ void CtConsensus::try_phase3(InstanceId k, Instance& inst) {
 
 void CtConsensus::phase3_reply(InstanceId k, Instance& inst, bool ack) {
   const std::uint32_t r = inst.round;
-  Writer w(16);
-  w.u8(ack ? kAck : kNack);
-  w.u64(k);
+  Writer w = message(ack ? kAck : kNack, k, 4);
   w.u32(r);
   ctx_.send(coord_of(r), w.take());
 
@@ -168,9 +160,7 @@ void CtConsensus::coordinator_try_phase4(InstanceId k, Instance& inst) {
     decide(k, inst, *rd.estimate_c, ctx_.self());
   } else if (rd.nacked) {
     // Release the ackers waiting in kDecision: this round never decides.
-    Writer w(16);
-    w.u8(kAbort);
-    w.u64(k);
+    Writer w = message(kAbort, k, 4);
     w.u32(r);
     ctx_.send_to_others(w.take());
     next_round(k, inst);

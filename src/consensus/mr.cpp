@@ -33,9 +33,7 @@ void MrConsensus::enter_round(InstanceId k, Instance& inst) {
   if (coord_of(r) == ctx_.self()) {
     // Phase 1, coordinator side: est_from_c is our own estimate
     // (Algorithm 3 line 11) — no acceptance test on one's own value.
-    Writer w(inst.estimate.size() + 16);
-    w.u8(kCoord);
-    w.u64(k);
+    Writer w = message(kCoord, k, inst.estimate.size() + 8);
     w.u32(r);
     w.blob(inst.estimate);
     ctx_.send_to_others(w.take());
@@ -72,9 +70,7 @@ void MrConsensus::try_phase1(InstanceId k, Instance& inst) {
 
 void MrConsensus::send_echo(InstanceId k, Instance& inst,
                             const Echo& echo) {
-  Writer w((echo ? echo->size() : 0) + 20);
-  w.u8(kEcho);
-  w.u64(k);
+  Writer w = message(kEcho, k, (echo ? echo->size() + 4 : 0) + 5);
   w.u32(inst.round);
   w.u8(echo.has_value() ? 1 : 0);
   if (echo.has_value()) w.blob(*echo);

@@ -4,7 +4,12 @@
 // what happens inside a round. Everything around the rounds is the same
 // for both and lives here once:
 //
-//   * the instance table, `propose`, `has_decided` and `round_of`;
+//   * the instance table, `propose` and `round_of`;
+//   * the shared message header `type u8 | k u64 | prefix u64`, and the
+//     truncation of the table below the cluster-wide stable point
+//     (docs/PROTOCOL.md D9): each process reports its decided prefix in
+//     every message, and an instance every process has decided or
+//     applied is erased;
 //   * the rotating coordinator, coord_of(r) = (r mod n) + 1, and the
 //     test "the round's coordinator is gone" (suspected by ♦S, or it
 //     announced abstention from the instance);
@@ -29,6 +34,7 @@
 // message types).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -48,7 +54,7 @@ template <class Round, class Wait>
 class RoundEngine : public runtime::Layer, public Consensus {
  public:
   void propose(InstanceId k, Bytes value) override;
-  bool has_decided(InstanceId k) const override;
+  void note_applied(InstanceId k) override;
 
   /// Restart-amnesia floor (docs/PROTOCOL.md D6): this incarnation must
   /// not vote in any instance k <= floor — a previous incarnation may
@@ -63,11 +69,15 @@ class RoundEngine : public runtime::Layer, public Consensus {
   void on_start() override;
   void on_message(ProcessId from, Reader& r) override;
 
-  /// Current round of instance `k` (0 if not started) — test observability.
+  /// Current round of instance `k` (0 if not started or erased) — test
+  /// observability.
   std::uint32_t round_of(InstanceId k) const {
     const auto it = instances_.find(k);
     return it == instances_.end() ? 0 : it->second.round;
   }
+
+  /// Live entries of the instance table — test observability (D9).
+  std::size_t instances_held() const { return instances_.size(); }
 
  protected:
   struct Instance {
@@ -93,7 +103,8 @@ class RoundEngine : public runtime::Layer, public Consensus {
       : ctx_(stack.register_layer(layer_id, *this, std::move(name))),
         detector_(detector),
         tags_(tags),
-        abstain_floor_(ctx_.n() + 1, 0) {
+        abstain_floor_(ctx_.n() + 1, 0),
+        prefix_(ctx_.n() + 1, 0) {
     detector_.subscribe([this](ProcessId p, bool suspected) {
       if (suspected) wake(p, std::numeric_limits<InstanceId>::max());
     });
@@ -110,6 +121,17 @@ class RoundEngine : public runtime::Layer, public Consensus {
   virtual void on_round_message(ProcessId from, std::uint8_t type,
                                 InstanceId k, Instance& inst,
                                 Reader& r) = 0;
+
+  /// Starts an engine message with the header every one of them carries:
+  /// `type u8 | k u64 | prefix u64`, the last being this process's
+  /// decided prefix (D9). `body` is the size of what follows.
+  Writer message(std::uint8_t type, InstanceId k, std::size_t body) const {
+    Writer w(body + 17);
+    w.u8(type);
+    w.u64(k);
+    w.u64(prefix_[ctx_.self()]);
+    return w;
+  }
 
   ProcessId coord_of(std::uint32_t round) const {
     return (round % ctx_.n()) + 1;
@@ -129,7 +151,9 @@ class RoundEngine : public runtime::Layer, public Consensus {
     const std::uint32_t r = inst.round;
     inst.wait = Wait::kNone;
     ctx_.defer([this, k, r] {
-      Instance& i = instance(k);
+      const auto it = instances_.find(k);
+      if (it == instances_.end()) return;  // erased meanwhile (D9)
+      Instance& i = it->second;
       if (!i.decided && i.proposed && i.round == r && i.wait == Wait::kNone)
         open_round(k, i, r + 1);
     });
@@ -151,6 +175,7 @@ class RoundEngine : public runtime::Layer, public Consensus {
     Bytes().swap(inst.estimate);  // only `decision` is read from here on
     inst.wait = Wait::kNone;
     inst.rounds.clear();
+    advance_prefix();
     ctx_.log().logf(LogLevel::kDebug, "k=%llu decided (%zu bytes)",
                     static_cast<unsigned long long>(k),
                     inst.decision.size());
@@ -183,18 +208,34 @@ class RoundEngine : public runtime::Layer, public Consensus {
   }
 
   Bytes decide_message(InstanceId k, BytesView value) const {
-    Writer w(value.size() + 16);
-    w.u8(tags_.decide);
-    w.u64(k);
+    Writer w = message(tags_.decide, k, value.size() + 4);
     w.blob(value);
     return w.take();
   }
 
   void send_abstain(ProcessId dst) {
-    Writer w(12);
-    w.u8(tags_.abstain);
-    w.u64(floor_);
-    ctx_.send(dst, w.take());
+    ctx_.send(dst, message(tags_.abstain, floor_, 0).take());
+  }
+
+  /// Raises the own decided prefix over every decided instance that
+  /// directly follows it.
+  void advance_prefix() {
+    InstanceId& own = prefix_[ctx_.self()];
+    for (auto it = instances_.find(own + 1);
+         it != instances_.end() && it->second.decided;
+         it = instances_.find(own + 1)) {
+      ++own;
+    }
+  }
+
+  /// Records `from`'s reported prefix, then erases every instance at or
+  /// below the stable point: the least prefix any process reported,
+  /// this one included. Every process has decided or applied those.
+  void truncate(ProcessId from, InstanceId reported) {
+    if (reported > prefix_[from]) prefix_[from] = reported;
+    const InstanceId stable =
+        *std::min_element(prefix_.begin() + 1, prefix_.end());
+    while (stable_ < stable) instances_.erase(++stable_);
   }
 
   fd::FailureDetector& detector_;
@@ -202,10 +243,15 @@ class RoundEngine : public runtime::Layer, public Consensus {
   std::unordered_map<InstanceId, Instance> instances_;
   InstanceId floor_ = 0;  // own abstention floor (restart recovery)
   std::vector<InstanceId> abstain_floor_;  // [1..n] peers' announced floors
+  // [1..n] the latest decided prefix each process reported; the own
+  // entry is kept current by `advance_prefix` and `note_applied`.
+  std::vector<InstanceId> prefix_;
+  InstanceId stable_ = 0;  // every instance <= stable_ is erased
 };
 
 template <class Round, class Wait>
 void RoundEngine<Round, Wait>::propose(InstanceId k, Bytes value) {
+  if (k <= stable_) return;  // decided everywhere and erased (D9)
   Instance& inst = instance(k);
   IBC_REQUIRE_MSG(!inst.proposed, "duplicate propose in instance");
   inst.proposed = true;
@@ -215,9 +261,11 @@ void RoundEngine<Round, Wait>::propose(InstanceId k, Bytes value) {
 }
 
 template <class Round, class Wait>
-bool RoundEngine<Round, Wait>::has_decided(InstanceId k) const {
-  const auto it = instances_.find(k);
-  return it != instances_.end() && it->second.decided;
+void RoundEngine<Round, Wait>::note_applied(InstanceId k) {
+  InstanceId& own = prefix_[ctx_.self()];
+  if (k <= own) return;
+  own = k;
+  advance_prefix();
 }
 
 template <class Round, class Wait>
@@ -237,6 +285,8 @@ template <class Round, class Wait>
 void RoundEngine<Round, Wait>::on_message(ProcessId from, Reader& r) {
   const std::uint8_t type = r.u8();
   const InstanceId k = r.u64();
+  // Erasing here, before any `Instance&` is taken, is the one safe point.
+  truncate(from, r.u64());
 
   if (type == tags_.abstain) {
     // Here the u64 is the sender's participation floor, not an instance
@@ -248,6 +298,10 @@ void RoundEngine<Round, Wait>::on_message(ProcessId from, Reader& r) {
     }
     return;
   }
+
+  // Every process has decided or applied an erased instance: a late
+  // DECIDE or round message for it needs no answer and no entry.
+  if (k <= stable_) return;
 
   Instance& inst = instance(k);
 

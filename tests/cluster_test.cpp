@@ -154,10 +154,10 @@ TEST(ScheduleRegression, PaperStackOnSetup1) {
   ASSERT_EQ(cluster.log(1).size(), 300u);
   EXPECT_TRUE(cluster.prefix_consistent());
   expect_fingerprint(fingerprint(cluster),
-                     {9099,
-                      2604,
-                      {4950797204334852428ull, 14494521229645500616ull,
-                       13809219985252619064ull}});
+                     {9061,
+                      2593,
+                      {113199062923941393ull, 85394363878580791ull,
+                       5546679043447006390ull}});
 }
 
 TEST(ScheduleRegression, RingWithRecoveryRestartsCoordinatorN5) {
@@ -187,11 +187,11 @@ TEST(ScheduleRegression, RingWithRecoveryRestartsCoordinatorN5) {
   EXPECT_EQ(cluster.log(2).size(), cluster.log(1).size());
   EXPECT_GT(cluster.stats().catchup_ids_fetched, 0u);
   expect_fingerprint(fingerprint(cluster),
-                     {45196,
-                      11907,
-                      {18119454788354022750ull, 3420519965110072032ull,
-                       18414287641501883040ull, 18306370364818885814ull,
-                       6477684692917143560ull}});
+                     {44171,
+                      11605,
+                      {1981124107812254740ull, 3658799635285178573ull,
+                       10106646204265928138ull, 4660357054222829062ull,
+                       15447904814375409538ull}});
 }
 
 TEST(Cluster, CrashScheduleFromOptionsFires) {

@@ -2,9 +2,11 @@
 // (without atomic broadcast on top).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -303,6 +305,15 @@ TEST(CtAckedWait, FailureFreeInstancesRunOneRoundEverywhere) {
     SCOPED_TRACE("n=" + std::to_string(n));
     Fixture f(Algo::kCt, n);
     constexpr InstanceId kInstances = 5;
+    // The round an instance decided in, read when it decides: once every
+    // process has decided it, the engine erases it (PROTOCOL.md D9).
+    std::vector<std::map<InstanceId, std::uint32_t>> decided_in(n + 1);
+    for (ProcessId p = 1; p <= n; ++p) {
+      f.engine(p).subscribe_decide([&f, &decided_in, p](InstanceId k,
+                                                        BytesView) {
+        decided_in[p][k] = f.ct(p).round_of(k);
+      });
+    }
     for (InstanceId k = 1; k <= kInstances; ++k)
       for (ProcessId p = 1; p <= n; ++p)
         f.engine(p).propose(k, bytes_of("k" + std::to_string(k) + "p" +
@@ -311,7 +322,7 @@ TEST(CtAckedWait, FailureFreeInstancesRunOneRoundEverywhere) {
     for (InstanceId k = 1; k <= kInstances; ++k) {
       EXPECT_TRUE(f.agreed(k).has_value()) << "instance " << k;
       for (ProcessId p = 1; p <= n; ++p)
-        EXPECT_EQ(f.ct(p).round_of(k), 1u) << "p" << p << " instance " << k;
+        EXPECT_EQ(decided_in[p][k], 1u) << "p" << p << " instance " << k;
     }
     for (ProcessId p = 1; p <= n; ++p)
       EXPECT_EQ(f.engine(p).stats().rounds_started, kInstances) << "p" << p;
@@ -405,6 +416,177 @@ TEST(CtAckedWait, AckersLeaveOnSuspicionWhenTheDecideNeverLeaves) {
   EXPECT_TRUE(bytes_equal(*value, *coordinator));
   EXPECT_EQ(f.ct(1).round_of(1), 2u);
   EXPECT_EQ(f.ct(3).round_of(1), 2u);
+}
+
+// ------------------------------------- truncation of decided instances
+//
+// Each process reports its decided prefix in every engine message, and
+// erases the instances at or below the least prefix all n processes
+// reported (docs/PROTOCOL.md D9).
+
+std::size_t instances_held(Consensus& engine) {
+  if (auto* ct = dynamic_cast<CtConsensus*>(&engine))
+    return ct->instances_held();
+  return dynamic_cast<MrConsensus&>(engine).instances_held();
+}
+
+std::uint32_t round_of(Consensus& engine, InstanceId k) {
+  if (auto* ct = dynamic_cast<CtConsensus*>(&engine)) return ct->round_of(k);
+  return dynamic_cast<MrConsensus&>(engine).round_of(k);
+}
+
+/// Drives a failure-free pipeline: every process keeps instances
+/// (prefix, prefix + W] proposed, where prefix is its own contiguous
+/// decided prefix, up to `limit`.
+struct Pipeline {
+  static constexpr InstanceId kWindow = 4;
+
+  Pipeline(Fixture& f, std::uint32_t n)
+      : f(f), n(n), next(n + 1, 1), prefix(n + 1, 0), done(n + 1) {
+    for (ProcessId p = 1; p <= n; ++p) {
+      f.engine(p).subscribe_decide([this, p](InstanceId k, BytesView) {
+        if (k <= prefix[p] || !done[p].insert(k).second) ++second_decisions;
+        while (done[p].contains(prefix[p] + 1)) done[p].erase(++prefix[p]);
+        high_water = std::max(high_water, instances_held(this->f.engine(p)));
+        top_up(p);
+      });
+    }
+  }
+
+  void top_up(ProcessId p) {
+    while (next[p] <= limit && next[p] <= prefix[p] + kWindow) {
+      const InstanceId k = next[p]++;
+      f.engine(p).propose(k, bytes_of("k" + std::to_string(k) + "p" +
+                                      std::to_string(p)));
+    }
+  }
+
+  /// Runs until every process decided every instance up to `upto`.
+  void run_to(InstanceId upto) {
+    limit = upto;
+    for (ProcessId p = 1; p <= n; ++p) top_up(p);
+    f.cluster.run_for(seconds(30));
+  }
+
+  Fixture& f;
+  const std::uint32_t n;
+  InstanceId limit = 0;
+  std::vector<InstanceId> next;    // [p] next instance p proposes
+  std::vector<InstanceId> prefix;  // [p] p's contiguous decided prefix
+  std::vector<std::set<InstanceId>> done;  // [p] decided above prefix
+  std::size_t high_water = 0;  // most live entries any engine held
+  std::size_t second_decisions = 0;  // a process decided k again
+};
+
+class Truncation
+    : public ::testing::TestWithParam<std::tuple<Algo, std::uint32_t>> {};
+
+TEST_P(Truncation, LiveTableStaysWithinTheWindowOverATenfoldLongerRun) {
+  // The same bound after 200 and after 2000 instances: the table holds
+  // the instances in flight, not the history.
+  const auto [algo, n] = GetParam();
+  Fixture f(algo, n);
+  Pipeline pipeline(f, n);
+  for (const InstanceId instances : {InstanceId{200}, InstanceId{2000}}) {
+    SCOPED_TRACE("after " + std::to_string(instances) + " instances");
+    pipeline.run_to(instances);
+    for (ProcessId p = 1; p <= n; ++p) {
+      ASSERT_EQ(pipeline.prefix[p], instances) << "p" << p;
+      EXPECT_LE(instances_held(f.engine(p)), Pipeline::kWindow + 2)
+          << "p" << p;
+    }
+  }
+  EXPECT_TRUE(f.agreed(2000).has_value());
+  // While instances run, the table also holds those decided here but
+  // not yet reported by every peer: one more window, plus slack.
+  EXPECT_LE(pipeline.high_water, 3 * Pipeline::kWindow);
+  EXPECT_EQ(pipeline.second_decisions, 0u);
+}
+
+TEST_P(Truncation, LateDecideOrRoundMessageForAnErasedInstanceIsDropped) {
+  const auto [algo, n] = GetParam();
+  Fixture f(algo, n);
+  Pipeline pipeline(f, n);
+  pipeline.run_to(50);
+  ASSERT_EQ(round_of(f.engine(2), 1), 0u) << "instance 1 not erased";
+  const std::size_t held = instances_held(f.engine(2));
+
+  // Engine messages start `type u8 | k u64 | prefix u64`. The tags:
+  // CT DECIDE 5, proposal 2; MR DECIDE 3, coordinator value 1.
+  const bool ct = algo == Algo::kCt;
+  const std::uint8_t decide = ct ? 5 : 3;
+  const std::uint8_t round_msg = ct ? 2 : 1;
+  for (const std::uint8_t type : {decide, round_msg}) {
+    Writer w;
+    w.u8(type);
+    w.u64(1);
+    w.u64(0);
+    if (type == round_msg) w.u32(1);  // round
+    w.blob(bytes_of("a different value"));
+    const Bytes msg = w.take();
+    Reader r(msg);
+    dynamic_cast<runtime::Layer&>(f.engine(2)).on_message(1, r);
+  }
+  f.cluster.run_for(seconds(1));
+  EXPECT_EQ(pipeline.second_decisions, 0u);
+  EXPECT_EQ(instances_held(f.engine(2)), held) << "an entry was created";
+  EXPECT_EQ(round_of(f.engine(2), 1), 0u);
+  EXPECT_FALSE(
+      bytes_equal(*f.decision(2, 1), bytes_of("a different value")));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, Truncation,
+    ::testing::Combine(::testing::Values(Algo::kCt, Algo::kMr),
+                       ::testing::Values(3u, 5u)));
+
+TEST(TruncationCt, PeersKeepAnInstanceUntilAProcessThatMissedItsDecideReportsIt) {
+  // fast_test timing (1 ms links, no CPU): in instance 1 the round-1
+  // coordinator p2 decides at 2 ms and p1 relays at 3 ms. A drop window
+  // on every link into p3 loses both DECIDE copies. p3 is slow: it
+  // proposes instance 1 only at 6 ms, acks the proposal it buffered,
+  // and p2 answers the ack with the decision. Meanwhile p1 and p2 run
+  // later instances and report prefixes that cover instance 1 to each
+  // other; they must still keep it, because p3's prefix does not.
+  constexpr std::uint32_t n = 3;
+  Fixture f(Algo::kCt, n);
+  net::FaultPlan plan;
+  net::FaultEvent drop;
+  drop.kind = net::FaultKind::kDrop;
+  drop.from = microseconds(1500);
+  drop.until = milliseconds(5);
+  drop.dst = 3;
+  drop.prob = 1.0;
+  plan.events.push_back(drop);
+  f.cluster.network().set_fault_plan(plan);
+
+  constexpr InstanceId kLast = 30;
+  for (ProcessId p = 1; p <= n; ++p) {
+    f.engine(p).subscribe_decide([&f, p](InstanceId k, BytesView) {
+      if (k < kLast)
+        f.engine(p).propose(k + 1, bytes_of("k" + std::to_string(k + 1) +
+                                            "p" + std::to_string(p)));
+    });
+  }
+  f.engine(1).propose(1, bytes_of("k1p1"));
+  f.engine(2).propose(1, bytes_of("k1p2"));
+  f.cluster.run_for(milliseconds(6));
+
+  EXPECT_FALSE(f.decision(3, 1).has_value()) << "a DECIDE copy got through";
+  EXPECT_TRUE(f.decision(1, 2).has_value());
+  EXPECT_TRUE(f.decision(2, 2).has_value());
+  for (const ProcessId p : {1u, 2u})
+    EXPECT_EQ(f.ct(p).round_of(1), 1u) << "p" << p << " erased instance 1";
+
+  f.engine(3).propose(1, bytes_of("k1p3"));
+  f.cluster.run_for(seconds(2));
+  const auto value = f.agreed(1);
+  ASSERT_TRUE(value.has_value()) << "p3 never learned instance 1";
+  EXPECT_TRUE(bytes_equal(*value, bytes_of("k1p2")));
+  EXPECT_TRUE(f.agreed(kLast).has_value());
+  // Once p3 reported it, instance 1 is gone everywhere.
+  for (ProcessId p = 1; p <= n; ++p)
+    EXPECT_EQ(f.ct(p).round_of(1), 0u) << "p" << p;
 }
 
 // -------------------------------------------------------- MR specifics

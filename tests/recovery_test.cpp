@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "consensus/ct.hpp"
 #include "harness.hpp"
 #include "recovery/recovery.hpp"
 #include "runtime/cluster.hpp"
@@ -306,6 +307,36 @@ TEST(Recovery, SimDoubleRestart) {
   drive_load(cluster, /*rounds=*/80, milliseconds(10));
   cluster.run_until_quiesced(milliseconds(400), seconds(30));
   expect_full_recovery(cluster, 3);
+}
+
+TEST(Recovery, RestartedProcessReportsItsPrefixSoEveryTableShrinksBack) {
+  // The restarted round-1 coordinator p2 applies most instances from its
+  // log and from catch-up, never through its consensus engine. Those
+  // count towards the decided prefix it reports (PROTOCOL.md D9): without
+  // that, its prefix stays below the gap, the stable point freezes, and
+  // every process keeps every later instance.
+  constexpr std::uint32_t kWindow = 4;
+  abcast::StackConfig stack = recovery_stack();
+  stack.pipeline_depth = kWindow;
+  SCOPED_TRACE(test::repro_hint(19));
+  Cluster cluster(ClusterOptions{}
+                      .with_n(3)
+                      .with_seed(19)
+                      .with_stack(stack)
+                      .with_recovery()
+                      .with_crash(milliseconds(120), 2)
+                      .with_restart(milliseconds(320), 2));
+  drive_load(cluster, /*rounds=*/80, milliseconds(10));
+  cluster.run_until_quiesced(milliseconds(400), seconds(30));
+
+  expect_full_recovery(cluster, 2);
+  EXPECT_GT(cluster.stats().catchup_ids_fetched, 0u);
+  EXPECT_GT(cluster.stats().instances_completed, 40u);
+  for (ProcessId p = 1; p <= 3; ++p) {
+    const auto& engine = dynamic_cast<const consensus::CtConsensus&>(
+        cluster.node(p).stack().consensus());
+    EXPECT_LE(engine.instances_held(), kWindow + 2) << "p" << p;
+  }
 }
 
 TEST(Recovery, RestartOfLiveProcessIsNoOp) {
