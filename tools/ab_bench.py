@@ -3,7 +3,6 @@
 
     python3 tools/ab_bench.py BASE_DIR CHANGE_DIR [--pairs N] [--seconds S]
                               [--workloads W[,W...]] [--first-seed S]
-                              [--json PATH]
 
 Both checkouts must already hold a built benchmark binary; building one
 is a side effect of any `perfbench/run.py` call there, e.g.
@@ -35,7 +34,8 @@ verdict:
               numbers.
 
 Exit status: 0 if every run was correct and no metric reads worse, 1
-otherwise, 2 if a binary is missing or a run produced no result.
+otherwise, 2 if a binary is missing, two different checkouts resolve to
+one binary (an absolute CARGO_TARGET_DIR), or a run produced no result.
 """
 
 import argparse
@@ -48,14 +48,12 @@ import tempfile
 import threading
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from same_behaviour import bench_binary  # noqa: E402
+
 RUN_TIMEOUT_S = 600
 WIN_SHARE = 0.9
 MIN_PAIRS = 10
-
-
-def bench_binary(checkout):
-    target = os.environ.get("CARGO_TARGET_DIR", ".bench_build")
-    return checkout / target / "perfbench" / "perfbench"
 
 
 def quartiles(values):
@@ -130,23 +128,18 @@ def fmt(v):
 
 
 def report_workload(workload, runs, metrics):
-    """Prints one workload's table; returns (summary dict, ok flag)."""
+    """Prints one workload's table; returns True if nothing reads worse."""
     ok = True
-    summary = {"pairs": [], "metrics": {}}
     print(f"== {workload}: {len(runs)} pairs")
     if len(runs) < MIN_PAIRS:
         print(f"  fewer than {MIN_PAIRS} pairs: every verdict is unresolved")
     for seed, base, change in runs:
-        row = {"seed": seed}
         for side, raw in (("base", base), ("change", change)):
-            row[side] = {"correct": raw["correct"], "failed": raw["failed"],
-                         "attempted": raw["attempted"]}
             if not raw["correct"] or raw["failed"]:
                 ok = False
                 print(f"  seed {seed} {side}: correct={raw['correct']} "
                       f"failed={raw['failed']}/{raw['attempted']} "
                       f"{raw.get('violations', [])}")
-        summary["pairs"].append(row)
     for m in metrics:
         name, unit, better, bound = m["name"], m["unit"], m["better"], m["bound"]
         base = [r[1]["e2e"][name] for r in runs]
@@ -163,9 +156,7 @@ def report_workload(workload, runs, metrics):
         print(f"    change wins {wins}/{len(runs)}: {call}")
         if call == "worse":
             ok = False
-        summary["metrics"][name] = {"base": base, "change": change,
-                                    "wins": wins, "verdict": call}
-    return summary, ok
+    return ok
 
 
 def main():
@@ -177,7 +168,6 @@ def main():
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workloads", help="comma-separated; default: all")
-    parser.add_argument("--json", type=Path, help="also write the results here")
     args = parser.parse_args()
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be positive")
@@ -190,18 +180,21 @@ def main():
         if unknown:
             parser.error(f"unknown workloads {unknown}; known: {workloads}")
         workloads = wanted
-    binaries = [bench_binary(args.base.resolve()),
-                bench_binary(args.change.resolve())]
+    checkouts = [args.base.resolve(), args.change.resolve()]
+    binaries = [bench_binary(c) for c in checkouts]
     for b in binaries:
         if not b.is_file():
             print(f"ab_bench: {b} missing; build it with perfbench/run.py",
                   file=sys.stderr)
             return 2
+    if checkouts[0] != checkouts[1] and binaries[0] == binaries[1]:
+        print("ab_bench: both checkouts resolve to one perfbench binary; "
+              "CARGO_TARGET_DIR must be relative", file=sys.stderr)
+        return 2
     cores = sorted(os.sched_getaffinity(0))
     cores = cores[-2:] if len(cores) >= 2 else cores * 2
 
     ok = True
-    results = {}
     with tempfile.TemporaryDirectory(prefix="ab_bench-") as spans_dir:
         for workload in workloads:
             runs = []
@@ -215,13 +208,8 @@ def main():
                         print(f"ab_bench: {e}", file=sys.stderr)
                     return 2
                 runs.append((seed, pair[0], pair[1]))
-            summary, workload_ok = report_workload(workload, runs,
-                                                   spec["end_to_end"])
-            results[workload] = summary
+            workload_ok = report_workload(workload, runs, spec["end_to_end"])
             ok = ok and workload_ok
-    if args.json:
-        args.json.write_text(json.dumps(
-            {"seconds": args.seconds, "workloads": results}, indent=1) + "\n")
     print("ab_bench: " + ("no metric worse, every run correct" if ok
                           else "a metric reads worse or a run failed"))
     return 0 if ok else 1
